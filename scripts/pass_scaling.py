@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Timing and work-profile experiment: pass time versus instance size, and
-best-pair search effort versus block size and degree.
+"""Timing and work-profile experiment: FM and pairwise pass time versus
+instance size, and best-pair search effort versus block size and degree.
 
 Example:
     python scripts/pass_scaling.py --sizes 5000 10000 20000 --reps 3
@@ -13,7 +13,7 @@ import time
 from fmpart.fm import FmConfig, fm_pass, random_initial_partition
 from fmpart.gains import init
 from fmpart.hypergraph import Partition
-from fmpart.pairwise import best_pair, pad_dummy, selection_state
+from fmpart.pairwise import best_pair, pad_dummy, selection_state, variant_pass
 from fmpart.synth import random_hypergraph
 
 
@@ -30,21 +30,35 @@ def time_pass(n, reps, tie):
     return best, h.pin_count
 
 
-def first_call_evals(cells, nets, reps=15, master=3):
+def equal_split(ph, rng):
+    ids = list(range(ph.graph.cell_count))
+    rng.shuffle(ids)
+    side = [1] * ph.graph.cell_count
+    for c in ids[: ph.half_size]:
+        side[c] = 0
+    return Partition.from_sides(ph.graph, side)
+
+
+def time_variant_pass(n, tie):
+    h = random_hypergraph(random.Random(100 + n), n, n, 2, 6)
+    ph = pad_dummy(h)
+    rng = random.Random(1)
+    p = equal_split(ph, rng)
+    t0 = time.perf_counter()
+    trace = variant_pass(ph, p, FmConfig(seed=1, tie_policy=tie), rng)
+    return time.perf_counter() - t0, trace.pair_gain_evals / max(len(trace.steps), 1)
+
+
+def first_call_evals(cells, nets, tie, reps=15, master=3):
     total = 0.0
     degree = 0.0
     for r in range(reps):
         rng = random.Random(master * 10_000 + r)
         h = random_hypergraph(rng, cells, nets, 2, 6)
         ph = pad_dummy(h)
-        ids = list(range(ph.graph.cell_count))
-        rng.shuffle(ids)
-        side = [1] * ph.graph.cell_count
-        for c in ids[: ph.half_size]:
-            side[c] = 0
-        p = Partition.from_sides(ph.graph, side)
+        p = equal_split(ph, rng)
         state = init(ph.graph, p)
-        sel = selection_state(state, ph.half_size)
+        sel = selection_state(state, ph.half_size, tie)
         best_pair(sel, ph.graph, p, state.gain, rng)
         total += sel.pair_gain_evals
         degree += h.max_cell_degree
@@ -66,12 +80,17 @@ def main(argv=None) -> int:
         print(f"  n={n:>7} pins={pins:>8}  best-of-{args.reps} pass {dt * 1000:8.1f} ms{note}")
         prev = dt
 
+    print("pairwise pass (cells = nets, pins 2..6):")
+    for n in args.sizes:
+        dt, per_step = time_variant_pass(n, args.tie)
+        print(f"  n={n:>7}  pass {dt * 1000:8.1f} ms  {per_step:6.2f} pair evaluations per step")
+
     print("best-pair first-call evaluations:")
     for cells in (60, 120, 240, 480):
-        e, d = first_call_evals(cells, cells)
+        e, d = first_call_evals(cells, cells, args.tie)
         print(f"  fixed density: cells={cells:>4} m={cells // 2:>4}: {e:7.1f} evals (avg max degree {d:.1f})")
     for nets in (60, 120, 240, 480):
-        e, d = first_call_evals(120, nets)
+        e, d = first_call_evals(120, nets, args.tie)
         print(f"  fixed cells=120: nets={nets:>4}: {e:7.1f} evals (avg max degree {d:.1f})")
     return 0
 

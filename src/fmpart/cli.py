@@ -150,7 +150,17 @@ def parse_seed_spec(text: str) -> list[int]:
         if not seeds:
             raise ValueError("empty seed list")
         return seeds
-    return list(range(1, int(text) + 1))
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"seed count must be at least 1, got {count}")
+    return list(range(1, count + 1))
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _default_jobs() -> int:
@@ -171,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run algorithms over netlists and emit CSV results")
     run.add_argument("--input", nargs="+", required=True, help="netlist files")
     run.add_argument("--format", choices=("netd", "net", "hgr", "auto"), default="auto")
-    run.add_argument("--algo", choices=("fm", "variant", "both"), default="both")
+    run.add_argument("--algo", choices=("fm", "variant", "fm_variant", "both"), default="both")
     run.add_argument(
         "--seeds", type=parse_seed_spec, default=list(range(1, DEFAULT_SEED_COUNT + 1)),
         help="comma-separated seed list, or a count N meaning seeds 1..N (default 10)",
     )
-    run.add_argument("--max-passes", type=int, default=100)
+    run.add_argument("--max-passes", type=positive_int, default=100)
     run.add_argument("--tie", choices=("random", "fifo", "lifo"), default="random")
     run.add_argument(
         "--jobs", type=int, default=None,
@@ -189,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--input", nargs="+", required=True)
     ver.add_argument("--format", choices=("netd", "net", "hgr", "auto"), default="auto")
     ver.add_argument("--seeds", type=parse_seed_spec, default=list(range(1, DEFAULT_SEED_COUNT + 1)))
-    ver.add_argument("--max-passes", type=int, default=100)
+    ver.add_argument("--max-passes", type=positive_int, default=100)
     ver.add_argument("--tie", choices=("random", "fifo", "lifo"), default="random")
 
     st = sub.add_parser("stats", help="print cells, nets, pins and max degree")
@@ -214,7 +224,9 @@ def _load_entries(paths, fmt):
 def _cmd_run(args) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     entries, failed = _load_entries(args.input, args.format)
-    algorithms = {"fm": ["fm"], "variant": ["fm_variant"], "both": ["fm", "fm_variant"]}[args.algo]
+    algorithms = {
+        "fm": ["fm"], "variant": ["fm_variant"], "fm_variant": ["fm_variant"], "both": ["fm", "fm_variant"],
+    }[args.algo]
     cfg = FmConfig(seed=1, tie_policy=args.tie, max_passes=args.max_passes)
     rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs)
     if args.csv:

@@ -105,13 +105,34 @@ class GainBucket:
     def max_gain(self) -> Optional[int]:
         return None if self.size == 0 else self.max_slot - self.span
 
-    def iter_descending(self):
-        """All cells, highest gain slot first, head-to-tail within a slot."""
+    def iter_descending(self, policy: str = "lifo", rng: Optional[random.Random] = None):
+        """All cells, highest gain slot first, produced on demand.
+
+        Within a slot the order follows the tie policy, so the first cell is
+        the one `select` would pick: lifo walks the chain from the head,
+        fifo from the tail, and random starts at a uniform position in the
+        slot's bag, drawn from rng on entering the slot, and wraps around.
+        Empty slots are skipped, so k cells cost O(k + gain span).
+        """
+        if policy not in TIE_POLICIES:
+            raise ValueError(f"unknown tie policy {policy!r}")
+        if policy == "random" and rng is None:
+            raise ValueError("random tie policy needs an rng")
+        first, link = (self.tails, self.prv) if policy == "fifo" else (self.heads, self.nxt)
         for slot in range(self.max_slot, -1, -1):
-            c = self.heads[slot]
-            while c != _NONE:
-                yield c
-                c = self.nxt[c]
+            bag = self.bags[slot]
+            n = len(bag)
+            if not n:
+                continue
+            if policy == "random":
+                k = rng.randrange(n)
+                for i in range(k, k + n):
+                    yield bag[i - n if i >= n else i]
+            else:
+                c = first[slot]
+                for _ in range(n):
+                    yield c
+                    c = link[c]
 
     def select(self, policy: str, rng: Optional[random.Random]) -> Optional[int]:
         """One cell from the max slot, or None when the bucket is empty."""

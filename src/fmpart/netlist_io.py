@@ -62,7 +62,8 @@ def parse_ibm_net(data: Union[bytes, str], dialect: str = "net") -> NetlistDocum
     plus the pad offset, then one line per pin. An 's' marker opens a new
     net and 'l' continues the current one; the netD dialect appends an
     I/O/B direction token, validated and otherwise ignored. Header counts
-    are checked against the raw pin lines, before per-net deduplication.
+    are checked against the raw pin lines, before per-net deduplication;
+    the module count against the distinct cell names they carry.
     Cell ids are assigned in order of first appearance.
     """
     if dialect not in ("net", "netD"):
@@ -122,6 +123,10 @@ def parse_ibm_net(data: Union[bytes, str], dialect: str = "net") -> NetlistDocum
     if len(nets) != net_count:
         raise NetlistFormatError(
             f"header declares {net_count} nets but {len(nets)} 's' lines follow"
+        )
+    if len(names) != module_count:
+        raise NetlistFormatError(
+            f"header declares {module_count} modules but the pin lines name {len(names)} cells"
         )
     return NetlistDocument(
         pin_count, net_count, module_count, pad_offset,

@@ -12,10 +12,10 @@ import heapq
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, best_prefix_index, rollback_to_prefix
-from .gains import GainState, init, move_and_update
+from .gains import GainBucket, GainState, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition, build
 
 
@@ -78,19 +78,32 @@ def pair_gain(h: Hypergraph, p: Partition, gains: Sequence[int], u: int, v: int)
 
 @dataclass
 class PairSelectionState:
-    """Unlocked cells of each block in nonincreasing stored-gain order."""
+    """One step's pair search over the live gain buckets.
 
-    ordered: tuple[list[int], list[int]]
+    `best_pair` walks each block lazily in nonincreasing gain order, within
+    a slot in `tie_policy` order, and draws cells only as its heap asks.
+    """
+
+    buckets: tuple[GainBucket, GainBucket]
     m: int
+    tie_policy: str = "lifo"
     pair_gain_evals: int = 0
 
 
-def selection_state(state: GainState, m: int) -> PairSelectionState:
-    """Materialize both gain orderings by walking the buckets downward."""
-    return PairSelectionState(
-        (list(state.buckets[B1].iter_descending()), list(state.buckets[B2].iter_descending())),
-        m,
-    )
+def selection_state(state: GainState, m: int, tie_policy: str = "lifo") -> PairSelectionState:
+    """Set up a pair search over the current buckets; constant time."""
+    return PairSelectionState(state.buckets, m, tie_policy)
+
+
+def _reach(cells: list[int], order: Iterator[int], k: int) -> bool:
+    """Whether cells[k] exists, drawing one more cell from order when k is next."""
+    if k < len(cells):
+        return True
+    c = next(order, None)
+    if c is None:
+        return False
+    cells.append(c)
+    return True
 
 
 def best_pair(
@@ -104,37 +117,38 @@ def best_pair(
 
     Candidates come off a max-heap keyed by the bound gains[u] + gains[v],
     which dominates the exact pair gain because the correction term is
-    nonnegative; the search stops once the next bound drops below the best
-    exact gain already seen. Ties break uniformly among evaluated maximizers.
+    nonnegative. Each pair (i, j) of the two gain orders enters the heap
+    once, from (i, j - 1), or from (i - 1, 0) when j is 0, so bounds come
+    off in nonincreasing order. The search stops once the next bound is no
+    higher than the best exact gain seen (Kernighan & Lin's sorted-list
+    scan) and returns the first exact maximizer met: ties break by bucket
+    order under the tie policy, with rng drawn only by the random policy.
     """
-    us, vs = state.ordered
-    if not us or not vs:
+    b1, b2 = state.buckets
+    if not b1.size or not b2.size:
         raise ValueError("a block has no unlocked cells")
+    order_u = b1.iter_descending(state.tie_policy, rng)
+    order_v = b2.iter_descending(state.tie_policy, rng)
+    us = [next(order_u)]
+    vs = [next(order_v)]
     best_g: Optional[int] = None
-    best: list[tuple[int, int]] = []
+    best = (us[0], vs[0])
     heap = [(-(gains[us[0]] + gains[vs[0]]), 0, 0)]
-    seen = {(0, 0)}
     while heap:
         negb, i, j = heapq.heappop(heap)
-        if best_g is not None and -negb < best_g:
+        if best_g is not None and -negb <= best_g:
             break
         u, v = us[i], vs[j]
         g = pair_gain(h, p, gains, u, v)
         state.pair_gain_evals += 1
         if best_g is None or g > best_g:
             best_g = g
-            best = [(u, v)]
-        elif g == best_g:
-            best.append((u, v))
-        if i + 1 < len(us) and (i + 1, j) not in seen:
-            seen.add((i + 1, j))
-            heapq.heappush(heap, (-(gains[us[i + 1]] + gains[vs[j]]), i + 1, j))
-        if j + 1 < len(vs) and (i, j + 1) not in seen:
-            seen.add((i, j + 1))
-            heapq.heappush(heap, (-(gains[us[i]] + gains[vs[j + 1]]), i, j + 1))
-    if len(best) == 1:
-        return best[0]
-    return rng.choice(best)
+            best = (u, v)
+        if _reach(vs, order_v, j + 1):
+            heapq.heappush(heap, (-(gains[u] + gains[vs[j + 1]]), i, j + 1))
+        if j == 0 and _reach(us, order_u, i + 1):
+            heapq.heappush(heap, (-(gains[us[i + 1]] + gains[v]), i + 1, 0))
+    return best
 
 
 def variant_pass(
@@ -148,7 +162,8 @@ def variant_pass(
     then roll back to the earliest minimum-cut prefix.
 
     Every step moves one cell each way, so all prefixes are balanced and
-    eligible for rollback.
+    eligible for rollback. cfg.tie_policy orders equal-gain cells in the
+    pair search, and so decides between equally good pairs.
     """
     h = ph.graph
     m = ph.half_size
@@ -160,7 +175,7 @@ def variant_pass(
     cum = 0
     evals = 0
     for _ in range(m):
-        sel = selection_state(state, m)
+        sel = selection_state(state, m, cfg.tie_policy)
         u, v = best_pair(sel, h, p, state.gain, rng)
         evals += sel.pair_gain_evals
         g = pair_gain(h, p, state.gain, u, v)

@@ -1,5 +1,6 @@
 import csv
 import io
+import random
 import re
 
 import pytest
@@ -17,6 +18,7 @@ from fmpart.cli import (
 )
 from fmpart.fm import FmConfig
 from fmpart.netlist_io import NetlistFormatError
+from fmpart.synth import clustered_hypergraph
 
 FIVE_CELL_HGR = "3 5\n4 5\n3 5\n1 2 5\n"
 H4_HGR = "2 4\n1 3\n2 4\n"
@@ -188,6 +190,39 @@ class TestCliMain:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--input", "x.hgr", "--algo", "quantum"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("flag", [("--seeds", "0"), ("--seeds", "-3"), ("--max-passes", "0")])
+    def test_nonpositive_counts_exit_two(self, fixture_files, tmp_path, capsys, command, flag):
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        argv = [command, "--input", str(star), *flag]
+        if command == "run":
+            argv += ["--csv", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag[0]}: " in err and "at least 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_tie_policy_changes_variant_rows(self, tmp_path):
+        h = clustered_hypergraph(random.Random(5), 200, 260)
+        path = tmp_path / "clustered.hgr"
+        path.write_text(
+            f"{h.net_count} {h.cell_count}\n" + "".join(" ".join(str(c + 1) for c in net) + "\n" for net in h.nets)
+        )
+        rows = {}
+        for tie in ("lifo", "fifo"):
+            out = tmp_path / f"{tie}.csv"
+            code = main([
+                "run", "--input", str(path), "--algo", "fm_variant", "--tie", tie,
+                "--seeds", "1,2,3", "--csv", str(out),
+            ])
+            assert code == 0
+            rows[tie] = normalize_elapsed(out.read_text())
+        assert rows["lifo"] != rows["fifo"]
 
     def test_seed_list_and_count_forms(self, fixture_files, tmp_path):
         star, _ = fixture_files

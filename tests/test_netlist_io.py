@@ -66,6 +66,12 @@ class TestParseIbm:
         with pytest.raises(NetlistFormatError, match="nets"):
             parse_ibm_net(bad, dialect="net")
 
+    def test_module_count_mismatch(self):
+        # a declared module on no net would otherwise vanish from the document
+        text = "0\n4\n2\n5\n0\na0 s\na1 l\na2 s\na3 l\n"
+        with pytest.raises(NetlistFormatError, match=r"5 modules.* 4 cells"):
+            parse_ibm_net(text, dialect="net")
+
     def test_pin_count_mismatch(self):
         bad = IBM_NET.replace("\n4\n", "\n5\n", 1)
         with pytest.raises(NetlistFormatError, match="pin"):
@@ -97,7 +103,7 @@ class TestParseIbm:
         doc.to_hypergraph()  # dedup leaves nets buildable
 
     def test_pads_are_ordinary_cells(self):
-        text = "0\n3\n1\n2\n1\na0 s\np1 l\na1 l\n"
+        text = "0\n3\n1\n3\n1\na0 s\np1 l\na1 l\n"
         doc = parse_ibm_net(text, dialect="net")
         assert doc.cell_names == ["a0", "p1", "a1"]
         assert doc.pad_offset == 1

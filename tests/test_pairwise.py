@@ -4,7 +4,7 @@ import pytest
 
 from conftest import C1, C2, C4, C5, balanced_partition
 from fmpart.fm import FmConfig
-from fmpart.gains import compute_gain, init
+from fmpart.gains import TIE_POLICIES, compute_gain, init
 from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 from fmpart.oracle import delta_cut_swap, exact_min_cut_balanced
 from fmpart.pairwise import (
@@ -16,7 +16,7 @@ from fmpart.pairwise import (
     variant_pass,
     variant_run,
 )
-from fmpart.synth import random_hypergraph
+from fmpart.synth import clustered_hypergraph, random_hypergraph
 
 
 def exact_balanced_partition(h, rng):
@@ -155,6 +155,36 @@ class TestBestPair:
             assert got == exhaustive
             assert sel.pair_gain_evals <= (n // 2) ** 2
 
+    def test_exact_under_every_tie_policy_through_a_pass(self):
+        # mid-size blocks at every step of a pass: locked cells gone, gains spread
+        rng = random.Random(37)
+        checked = 0
+
+        def on_step(state, p, steps):
+            nonlocal checked
+            if not state.buckets[B1].size:
+                return
+            unlocked = [c for c in range(h.cell_count) if not state.locked[c]]
+            exhaustive = max(
+                pair_gain(h, p, state.gain, a, b)
+                for a in unlocked
+                for b in unlocked
+                if p.side[a] == B1 and p.side[b] == B2
+            )
+            for policy in TIE_POLICIES:
+                sel = selection_state(state, len(unlocked) // 2, policy)
+                u, v = best_pair(sel, h, p, state.gain, random.Random(checked))
+                assert (p.side[u], p.side[v]) == (B1, B2)
+                assert not state.locked[u] and not state.locked[v]
+                assert pair_gain(h, p, state.gain, u, v) == exhaustive
+            checked += 1
+
+        for _ in range(8):
+            n = rng.choice([40, 60])
+            h = random_hypergraph(rng, n, rng.randint(n, 2 * n), 2, 6)
+            variant_pass(pad_dummy(h), exact_balanced_partition(h, rng), FmConfig(seed=1), rng, on_step=on_step)
+        assert checked > 100
+
     def test_ordering_is_nonincreasing(self):
         rng = random.Random(34)
         for _ in range(50):
@@ -162,13 +192,12 @@ class TestBestPair:
             h = random_hypergraph(rng, n, rng.randint(1, 16), 1, 5)
             p = exact_balanced_partition(h, rng)
             st = init(h, p)
-            sel = selection_state(st, n // 2)
             for block in (B1, B2):
-                gains = [st.gain[c] for c in sel.ordered[block]]
-                assert gains == sorted(gains, reverse=True)
-                assert sorted(sel.ordered[block]) == sorted(
-                    c for c in range(n) if p.side[c] == block
-                )
+                for policy in TIE_POLICIES:
+                    order = list(st.buckets[block].iter_descending(policy, rng))
+                    gains = [st.gain[c] for c in order]
+                    assert gains == sorted(gains, reverse=True)
+                    assert sorted(order) == sorted(c for c in range(n) if p.side[c] == block)
 
 
 class TestVariantPass:
@@ -239,6 +268,19 @@ class TestVariantPass:
             assert replay == p
 
 
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    @pytest.mark.parametrize("cells", [401, 800])
+    def test_pass_work_linear_in_block_size(self, cells, policy):
+        # a whole pass, not one call: pair evaluations stay within a few per step
+        rng = random.Random(cells)
+        h = clustered_hypergraph(rng, cells, cells, cross_fraction=0.4)
+        ph = pad_dummy(h)
+        p = exact_balanced_partition(ph.graph, rng)
+        trace = variant_pass(ph, p, FmConfig(seed=1, tie_policy=policy), rng)
+        assert len(trace.steps) == ph.half_size
+        assert trace.pair_gain_evals <= 4 * ph.half_size
+
+
 class TestVariantRun:
     def test_disjoint_pairs_always_optimal(self, h4):
         for seed in range(1, 11):
@@ -292,3 +334,12 @@ class TestVariantRun:
             r = variant_run(h, FmConfig(seed=7))
             ones = sum(r.final_side)
             assert abs((n - ones) - ones) <= 1
+
+    def test_tie_policy_reproducible_and_effective(self):
+        h = clustered_hypergraph(random.Random(5), 200, 260)
+        finals = {}
+        for policy in TIE_POLICIES:
+            runs = [variant_run(h, FmConfig(seed=5, tie_policy=policy)).final_side for _ in range(2)]
+            assert runs[0] == runs[1]
+            finals[policy] = runs[0]
+        assert finals["lifo"] != finals["fifo"]
