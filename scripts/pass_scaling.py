@@ -14,7 +14,7 @@ from fmpart.fm import FmConfig, fm_pass, random_initial_partition
 from fmpart.gains import init
 from fmpart.hypergraph import Partition
 from fmpart.pairwise import best_pair, pad_dummy, selection_state, variant_pass
-from fmpart.synth import random_hypergraph
+from fmpart.synth import random_balanced_sides, random_hypergraph
 
 
 def time_pass(n, reps, tie):
@@ -31,12 +31,8 @@ def time_pass(n, reps, tie):
 
 
 def equal_split(ph, rng):
-    ids = list(range(ph.graph.cell_count))
-    rng.shuffle(ids)
-    side = [1] * ph.graph.cell_count
-    for c in ids[: ph.half_size]:
-        side[c] = 0
-    return Partition.from_sides(ph.graph, side)
+    # the padded count is even, so the blocks come out equal
+    return Partition.from_sides(ph.graph, random_balanced_sides(rng, ph.graph.cell_count))
 
 
 def time_variant_pass(n, tie):
@@ -57,7 +53,7 @@ def first_call_evals(cells, nets, tie, reps=15, master=3):
         h = random_hypergraph(rng, cells, nets, 2, 6)
         ph = pad_dummy(h)
         p = equal_split(ph, rng)
-        state = init(ph.graph, p)
+        state = init(ph.graph, p, tie)
         sel = selection_state(state, ph.half_size, tie)
         best_pair(sel, ph.graph, p, state.gain, rng)
         total += sel.pair_gain_evals

@@ -164,11 +164,15 @@ def positive_int(text: str) -> int:
 
 
 def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Worker count from the environment: 1 when unset or empty, else a
+    positive integer; anything else raises ValueError."""
+    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
+    if not raw:
         return 1
+    try:
+        return positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{JOBS_ENV_VAR} must be an integer of at least 1, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-passes", type=positive_int, default=100)
     run.add_argument("--tie", choices=("random", "fifo", "lifo"), default="random")
     run.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=positive_int, default=None,
         help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)",
     )
     run.add_argument("--csv", default=None, help="per-run rows (default: stdout)")
@@ -221,8 +225,7 @@ def _load_entries(paths, fmt):
     return entries, failed
 
 
-def _cmd_run(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+def _cmd_run(args, jobs: int) -> int:
     entries, failed = _load_entries(args.input, args.format)
     algorithms = {
         "fm": ["fm"], "variant": ["fm_variant"], "fm_variant": ["fm_variant"], "both": ["fm", "fm_variant"],
@@ -282,9 +285,16 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        jobs = args.jobs
+        if jobs is None:
+            try:
+                jobs = _default_jobs()
+            except ValueError as exc:
+                ap.error(str(exc))
+        return _cmd_run(args, jobs)
     if args.command == "verify":
         return _cmd_verify(args)
     return _cmd_stats(args)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .gains import GainState, TIE_POLICIES, init, move_and_update, select_max
 from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
+from .synth import random_balanced_sides
 
 StepHook = Callable[[GainState, Partition, list], None]
 
@@ -34,8 +35,7 @@ class FmConfig:
             raise ValueError("max_passes must be positive when bounded")
 
 
-@dataclass(frozen=True)
-class PassStep:
+class PassStep(NamedTuple):
     cells: tuple[int, ...]
     gain: int
     cum_gain: int
@@ -81,31 +81,24 @@ class RunResult:
 
 def random_initial_partition(h: Hypergraph, rng: random.Random) -> Partition:
     """Uniformly random assignment with block sizes differing by at most one."""
-    n = h.cell_count
-    ids = list(range(n))
-    rng.shuffle(ids)
-    b1 = n // 2
-    if n % 2:
-        b1 += rng.randrange(2)
-    side = [B2] * n
-    for c in ids[:b1]:
-        side[c] = B1
-    return Partition.from_sides(h, side)
+    return Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
 
 
 def _source_block(state: GainState, p: Partition) -> Optional[int]:
     """Pick the block to move from: B1 when its max gain and size both
-    dominate, else B2 when it is at least as large, else B1."""
-    g1 = state.buckets[B1].max_gain()
-    g2 = state.buckets[B2].max_gain()
-    if g1 is None and g2 is None:
-        return None
-    if g1 is None:
-        return B2
-    if g2 is None:
+    dominate, else B2 when it is at least as large, else B1.
+
+    Both buckets share one gain span, so their max slots compare as their
+    max gains do; an empty bucket's max slot is -1."""
+    b1, b2 = state.buckets
+    m1 = b1.max_slot
+    m2 = b2.max_slot
+    if m1 < 0:
+        return None if m2 < 0 else B2
+    if m2 < 0:
         return B1
     s1, s2 = p.block_size
-    if g1 >= g2 and s1 >= s2:
+    if m1 >= m2 and s1 >= s2:
         return B1
     if s2 >= s1:
         return B2
@@ -147,20 +140,23 @@ def fm_pass(
     On return p sits at the minimum-cut balanced configuration seen during
     the pass (or where it started, when nothing better appeared).
     """
-    state = init(h, p)
+    tie = cfg.tie_policy
+    state = init(h, p, tie)
+    gain = state.gain
+    sizes = p.block_size
     initial_cut = p.cut_count
-    initial_diff = p.block_size[B1] - p.block_size[B2]
+    initial_diff = sizes[B1] - sizes[B2]
     steps: list[PassStep] = []
     cum = 0
     while True:
         blk = _source_block(state, p)
         if blk is None:
             break
-        c = select_max(state, blk, cfg.tie_policy, rng)
-        g = state.gain[c]
+        c = select_max(state, blk, tie, rng)
+        g = gain[c]
         move_and_update(state, h, p, c)
         cum += g
-        steps.append(PassStep((c,), g, cum, p.cut_count, p.block_size[B1] - p.block_size[B2]))
+        steps.append(PassStep((c,), g, cum, p.cut_count, sizes[B1] - sizes[B2]))
         if on_step is not None:
             on_step(state, p, steps)
     best = best_prefix_index(initial_cut, initial_diff, steps)

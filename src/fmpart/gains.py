@@ -1,8 +1,8 @@
 """Gain bookkeeping for move-based passes.
 
 Gains live in [-P, +P] where P is the maximum cell degree, so each block
-keeps an array of doubly linked cell lists indexed by gain plus a pointer
-to the highest occupied index.
+keeps an array of cell slots indexed by gain plus a pointer to the highest
+occupied index.
 """
 
 from __future__ import annotations
@@ -18,52 +18,91 @@ _NONE = -1
 
 
 class GainBucket:
-    """Doubly linked cell lists per gain value with a max pointer.
+    """Cells of one block filed by gain, with a max pointer.
 
-    Links are intrusive arrays, so insert, remove and relocation are O(1);
-    the max pointer only falls back by linear scan when its slot drains.
-    New cells are pushed at the head, so head order is most-recent-first.
-    Each slot also mirrors its cells in an unordered array (swap-removal,
-    per-cell position), so a uniform random pick costs O(1) instead of a
-    chain walk; passes would otherwise go quadratic under the default
-    random tie policy.
+    A bucket keeps only the structure its tie policy reads, chosen when it
+    is built:
+
+    - ``lifo`` and ``fifo``: a circular doubly linked chain per slot in
+      intrusive arrays, closed by one sentinel entry per slot after the
+      cells, so links never branch on an end. New cells are pushed at the
+      head, so head order is most-recent-first; lifo picks the head and
+      fifo the tail.
+    - ``random``: an unordered array per slot (a bag) with swap-removal and
+      a per-cell position, so a uniform pick costs O(1) instead of a chain
+      walk; passes would otherwise go quadratic.
+
+    Chain order depends only on chain operations and bag order only on bag
+    operations, so either structure alone orders its cells exactly as a
+    bucket keeping both would. Insert, remove and relocate are O(1); the
+    max pointer falls back by linear scan when its slot drains. A request
+    for a policy the bucket was not built for raises ValueError.
     """
 
     __slots__ = (
-        "span", "heads", "tails", "nxt", "prv", "slot",
-        "bags", "bag_pos", "size", "max_slot",
+        "span", "policy", "chained", "slot", "size", "max_slot",
+        "anchor", "nxt", "prv", "bags", "bag_pos",
     )
 
-    def __init__(self, cell_count: int, span: int):
+    def __init__(self, cell_count: int, span: int, policy: str = "lifo"):
+        if policy not in TIE_POLICIES:
+            raise ValueError(f"unknown tie policy {policy!r}")
         self.span = span
+        self.policy = policy
+        self.chained = policy != "random"
         width = 2 * span + 1
-        self.heads = [_NONE] * width
-        self.tails = [_NONE] * width
-        self.nxt = [_NONE] * cell_count
-        self.prv = [_NONE] * cell_count
         self.slot = [_NONE] * cell_count
-        self.bags: list[list[int]] = [[] for _ in range(width)]
-        self.bag_pos = [_NONE] * cell_count
         self.size = 0
         self.max_slot = _NONE
+        if self.chained:
+            # slot k's sentinel is entry anchor + k; an empty slot links to itself
+            self.anchor = cell_count
+            self.nxt = [_NONE] * cell_count + list(range(cell_count, cell_count + width))
+            self.prv = list(self.nxt)
+            self.bags = self.bag_pos = None
+        else:
+            self.bags: list[list[int]] = [[] for _ in range(width)]
+            self.bag_pos = [_NONE] * cell_count
+            self.anchor = self.nxt = self.prv = None
 
     def __contains__(self, cell: int) -> bool:
         return self.slot[cell] != _NONE
 
+    def _check_policy(self, policy: str) -> None:
+        if policy not in TIE_POLICIES:
+            raise ValueError(f"unknown tie policy {policy!r}")
+        if (policy == "random") == self.chained:
+            raise ValueError(f"bucket built for tie policy {self.policy!r} cannot serve {policy!r}")
+
+    def _top_from(self, slot: int) -> int:
+        """The highest nonempty slot at or below slot, or -1."""
+        if self.chained:
+            nxt = self.nxt
+            s = self.anchor + slot
+            while slot >= 0 and nxt[s] == s:
+                slot -= 1
+                s -= 1
+        else:
+            bags = self.bags
+            while slot >= 0 and not bags[slot]:
+                slot -= 1
+        return slot
+
     def insert(self, cell: int, gain: int) -> None:
         slot = gain + self.span
-        head = self.heads[slot]
-        self.nxt[cell] = head
-        self.prv[cell] = _NONE
-        if head != _NONE:
+        if self.chained:
+            nxt = self.nxt
+            s = self.anchor + slot
+            head = nxt[s]
+            nxt[cell] = head
+            self.prv[cell] = s
             self.prv[head] = cell
+            nxt[s] = cell
         else:
-            self.tails[slot] = cell
-        self.heads[slot] = cell
+            bag = self.bags[slot]
+            self.bag_pos[cell] = len(bag)
+            bag.append(cell)
         self.slot[cell] = slot
-        bag = self.bags[slot]
-        self.bag_pos[cell] = len(bag)
-        bag.append(cell)
         self.size += 1
         if slot > self.max_slot:
             self.max_slot = slot
@@ -72,38 +111,72 @@ class GainBucket:
         slot = self.slot[cell]
         if slot == _NONE:
             raise ValueError(f"cell {cell} not in bucket")
-        n, p = self.nxt[cell], self.prv[cell]
-        if p != _NONE:
+        if self.chained:
+            n, p = self.nxt[cell], self.prv[cell]
             self.nxt[p] = n
-        else:
-            self.heads[slot] = n
-        if n != _NONE:
             self.prv[n] = p
+            drained = n == p
         else:
-            self.tails[slot] = p
+            bag = self.bags[slot]
+            pos = self.bag_pos[cell]
+            last = bag.pop()
+            if last != cell:
+                bag[pos] = last
+                self.bag_pos[last] = pos
+            self.bag_pos[cell] = _NONE
+            drained = not bag
         self.slot[cell] = _NONE
-        bag = self.bags[slot]
-        pos = self.bag_pos[cell]
-        last = bag.pop()
-        if last != cell:
-            bag[pos] = last
-            self.bag_pos[last] = pos
-        self.bag_pos[cell] = _NONE
         self.size -= 1
-        if self.size == 0:
-            self.max_slot = _NONE
-        elif slot == self.max_slot and not bag:
-            s = slot
-            while s >= 0 and not self.bags[s]:
-                s -= 1
-            self.max_slot = s
+        if drained and slot == self.max_slot:
+            self.max_slot = self._top_from(slot - 1)
 
     def relocate(self, cell: int, gain: int) -> None:
-        self.remove(cell)
-        self.insert(cell, gain)
+        """Move a bucketed cell to the slot of gain, as remove then insert
+        would, in one body: the cell enters the new slot at the chain head
+        or at the end of the bag."""
+        slot = self.slot
+        old = slot[cell]
+        if old == _NONE:
+            raise ValueError(f"cell {cell} not in bucket")
+        new = gain + self.span
+        if self.chained:
+            nxt = self.nxt
+            prv = self.prv
+            n = nxt[cell]
+            p = prv[cell]
+            nxt[p] = n
+            prv[n] = p
+            # both neighbours are the old slot's sentinel only if it drained
+            drained = n == p
+            s = self.anchor + new
+            head = nxt[s]
+            nxt[cell] = head
+            prv[cell] = s
+            prv[head] = cell
+            nxt[s] = cell
+        else:
+            bags = self.bags
+            bag_pos = self.bag_pos
+            bag = bags[old]
+            last = bag.pop()
+            if last != cell:
+                pos = bag_pos[cell]
+                bag[pos] = last
+                bag_pos[last] = pos
+            drained = not bag
+            bag = bags[new]
+            bag_pos[cell] = len(bag)
+            bag.append(cell)
+        slot[cell] = new
+        top = self.max_slot
+        if new > top:
+            self.max_slot = new
+        elif drained and new < old == top:
+            # the cell moved down out of the max slot; the scan stops at new
+            self.max_slot = self._top_from(old - 1)
 
     def max_gain(self) -> Optional[int]:
-        return None if self.size == 0 else self.max_slot - self.span
+        return None if self.max_slot == _NONE else self.max_slot - self.span
 
     def iter_descending(self, policy: str = "lifo", rng: Optional[random.Random] = None):
         """All cells, highest gain slot first, produced on demand.
@@ -114,71 +187,78 @@ class GainBucket:
         slot's bag, drawn from rng on entering the slot, and wraps around.
         Empty slots are skipped, so k cells cost O(k + gain span).
         """
-        if policy not in TIE_POLICIES:
-            raise ValueError(f"unknown tie policy {policy!r}")
-        if policy == "random" and rng is None:
-            raise ValueError("random tie policy needs an rng")
-        first, link = (self.tails, self.prv) if policy == "fifo" else (self.heads, self.nxt)
-        for slot in range(self.max_slot, -1, -1):
-            bag = self.bags[slot]
-            n = len(bag)
-            if not n:
-                continue
-            if policy == "random":
+        self._check_policy(policy)
+        if policy == "random":
+            if rng is None:
+                raise ValueError("random tie policy needs an rng")
+            bags = self.bags
+            for slot in range(self.max_slot, -1, -1):
+                bag = bags[slot]
+                n = len(bag)
+                if not n:
+                    continue
                 k = rng.randrange(n)
                 for i in range(k, k + n):
                     yield bag[i - n if i >= n else i]
-            else:
-                c = first[slot]
-                for _ in range(n):
+        else:
+            link = self.prv if policy == "fifo" else self.nxt
+            for end in range(self.anchor + self.max_slot, self.anchor - 1, -1):
+                c = link[end]
+                while c != end:
                     yield c
                     c = link[c]
 
     def select(self, policy: str, rng: Optional[random.Random]) -> Optional[int]:
         """One cell from the max slot, or None when the bucket is empty."""
-        if self.size == 0:
-            return None
-        slot = self.max_slot
-        if policy == "lifo":
-            return self.heads[slot]
-        if policy == "fifo":
-            return self.tails[slot]
-        if policy == "random":
+        if policy == "random" and not self.chained:
+            if self.size == 0:
+                return None
             if rng is None:
                 raise ValueError("random tie policy needs an rng")
-            bag = self.bags[slot]
+            bag = self.bags[self.max_slot]
             return bag[rng.randrange(len(bag))]
-        raise ValueError(f"unknown tie policy {policy!r}")
+        self._check_policy(policy)
+        if self.size == 0:
+            return None
+        link = self.nxt if policy == "lifo" else self.prv
+        return link[self.anchor + self.max_slot]
 
     def audit(self) -> None:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
         seen = 0
         top = _NONE
-        for slot, head in enumerate(self.heads):
-            members = []
-            prev = _NONE
-            c = head
-            while c != _NONE:
-                if self.slot[c] != slot:
-                    raise AssertionError(f"cell {c}: slot record disagrees with chain")
-                if self.prv[c] != prev:
-                    raise AssertionError(f"cell {c}: broken prev link")
-                members.append(c)
-                prev = c
-                c = self.nxt[c]
-            if self.tails[slot] != prev:
-                raise AssertionError(f"slot {slot}: broken tail pointer")
-            bag = self.bags[slot]
-            if sorted(bag) != sorted(members):
-                raise AssertionError(f"slot {slot}: bag and chain disagree")
-            for pos, cell in enumerate(bag):
-                if self.bag_pos[cell] != pos:
-                    raise AssertionError(f"cell {cell}: stale bag position")
+        for slot in range(2 * self.span + 1):
+            if self.chained:
+                members = []
+                end = self.anchor + slot
+                prev = end
+                c = self.nxt[end]
+                while c != end:
+                    if not 0 <= c < self.anchor or len(members) > self.size:
+                        raise AssertionError(f"slot {slot}: chain leaves its cells")
+                    if self.slot[c] != slot:
+                        raise AssertionError(f"cell {c}: slot record disagrees with chain")
+                    if self.prv[c] != prev:
+                        raise AssertionError(f"cell {c}: broken prev link")
+                    members.append(c)
+                    prev = c
+                    c = self.nxt[c]
+                if self.prv[end] != prev:
+                    raise AssertionError(f"slot {slot}: broken tail link")
+            else:
+                members = self.bags[slot]
+                for pos, cell in enumerate(members):
+                    if self.slot[cell] != slot:
+                        raise AssertionError(f"cell {cell}: slot record disagrees with bag")
+                    if self.bag_pos[cell] != pos:
+                        raise AssertionError(f"cell {cell}: stale bag position")
             if members:
                 top = slot
             seen += len(members)
         if seen != self.size:
-            raise AssertionError("bucket size disagrees with chain contents")
+            raise AssertionError("bucket size disagrees with slot contents")
+        if sum(1 for s in self.slot if s != _NONE) != self.size:
+            raise AssertionError("slot records disagree with bucket size")
         if self.max_slot != top:
             raise AssertionError("max pointer is not the highest nonempty slot")
 
@@ -213,17 +293,18 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     return g
 
 
-def init(h: Hypergraph, p: Partition) -> GainState:
-    """Unlock every cell, compute all gains, and fill both buckets."""
+def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> GainState:
+    """Unlock every cell, compute all gains, and fill both buckets with the
+    structure tie_policy reads (see GainBucket). The default, lifo, is also
+    the default of `selection_state` and `GainBucket.iter_descending`."""
     span = h.max_cell_degree
-    buckets = (GainBucket(h.cell_count, span), GainBucket(h.cell_count, span))
-    gain = [0] * h.cell_count
-    locked = [False] * h.cell_count
-    for c in range(h.cell_count):
-        g = compute_gain(h, p, c)
-        gain[c] = g
-        buckets[p.side[c]].insert(c, g)
-    return GainState(gain, locked, buckets)
+    buckets = (GainBucket(h.cell_count, span, tie_policy), GainBucket(h.cell_count, span, tie_policy))
+    gain = [compute_gain(h, p, c) for c in range(h.cell_count)]
+    insert = (buckets[0].insert, buckets[1].insert)
+    side = p.side
+    for c, g in enumerate(gain):
+        insert[side[c]](c, g)
+    return GainState(gain, [False] * h.cell_count, buckets)
 
 
 def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> None:
@@ -233,7 +314,9 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
     T-count of 1 lowers the lone T-side pin; after the transfer, an F-count
     of 0 lowers every unlocked pin and an F-count of 1 raises the lone
-    F-side pin. Locked cells keep stale gains; selection never reads them.
+    F-side pin. A T-count of 0 puts every pin on F, and an F-count of 0
+    after the transfer puts every pin on T, so each update knows its bucket.
+    Locked cells keep stale gains; selection never reads them.
     """
     if state.locked[c]:
         raise ValueError(f"cell {c} is locked")
@@ -245,6 +328,8 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
     t = 1 - f
     locked[c] = True
     buckets[f].remove(c)
+    relocate_f = buckets[f].relocate
+    relocate_t = buckets[t].relocate
     nets = h.cell_nets[c]
     pins_of = h.nets
     occ_of = p.net_occupancy
@@ -255,14 +340,14 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
                 if not locked[x]:
                     g = gain[x] + 1
                     gain[x] = g
-                    buckets[side[x]].relocate(x, g)
+                    relocate_f(x, g)
         elif tc == 1:
             for x in pins_of[n]:
                 if side[x] == t:
                     if not locked[x]:
                         g = gain[x] - 1
                         gain[x] = g
-                        buckets[t].relocate(x, g)
+                        relocate_t(x, g)
                     break
     apply_move(p, h, c)
     for n in nets:
@@ -272,14 +357,14 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
                 if not locked[x]:
                     g = gain[x] - 1
                     gain[x] = g
-                    buckets[side[x]].relocate(x, g)
+                    relocate_t(x, g)
         elif fc == 1:
             for x in pins_of[n]:
                 if side[x] == f:
                     if not locked[x]:
                         g = gain[x] + 1
                         gain[x] = g
-                        buckets[f].relocate(x, g)
+                        relocate_f(x, g)
                     break
 
 

@@ -20,7 +20,6 @@ class Hypergraph:
     cell_count: int
     nets: tuple[tuple[int, ...], ...]
     cell_nets: tuple[tuple[int, ...], ...]
-    cell_net_sets: tuple[frozenset[int], ...]
     max_cell_degree: int
     net_count: int
 
@@ -53,7 +52,6 @@ def build(net_pin_lists: Iterable[Sequence[int]], cell_count: int) -> Hypergraph
         cell_count=cell_count,
         nets=tuple(nets),
         cell_nets=tuple(tuple(ns) for ns in cell_nets),
-        cell_net_sets=tuple(frozenset(ns) for ns in cell_nets),
         max_cell_degree=max((len(ns) for ns in cell_nets), default=0),
         net_count=len(nets),
     )
@@ -81,9 +79,10 @@ class Partition:
             raise ValueError("side entries must be 0 or 1")
         occupancy = []
         cut = 0
+        on_b2 = side.__getitem__
         for pins in h.nets:
-            a = sum(1 for c in pins if side[c] == B1)
-            occ = [a, len(pins) - a]
+            b = sum(map(on_b2, pins))  # B1 is 0 and B2 is 1
+            occ = [len(pins) - b, b]
             occupancy.append(occ)
             if occ[B1] > 0 and occ[B2] > 0:
                 cut += 1
@@ -132,12 +131,17 @@ def apply_move(p: Partition, h: Hypergraph, c: int) -> None:
     p.block_size[f] -= 1
     p.block_size[t] += 1
     occ_of = p.net_occupancy
+    delta = 0
     for n in h.cell_nets[c]:
         occ = occ_of[n]
         # with c still counted on f: cut before iff occ[t] > 0, after iff occ[f] > 1
-        was_cut = occ[t] > 0
-        now_cut = occ[f] > 1
-        if was_cut != now_cut:
-            p.cut_count += 1 if now_cut else -1
-        occ[f] -= 1
-        occ[t] += 1
+        a = occ[f]
+        b = occ[t]
+        if b == 0:
+            if a > 1:
+                delta += 1
+        elif a == 1:
+            delta -= 1
+        occ[f] = a - 1
+        occ[t] = b + 1
+    p.cut_count += delta

@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Sequence
 from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, best_prefix_index, rollback_to_prefix
 from .gains import GainBucket, GainState, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition, build
+from .synth import random_balanced_sides
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,14 @@ def correct_term(h: Hypergraph, p: Partition, u: int, v: int) -> int:
     if su == sv:
         raise ValueError("pair endpoints must lie in opposite blocks")
     nets_small = h.cell_nets[u]
-    other_sets = h.cell_net_sets[v]
-    if len(nets_small) > len(h.cell_nets[v]):
-        nets_small = h.cell_nets[v]
-        other_sets = h.cell_net_sets[u]
+    nets_other = h.cell_nets[v]
+    if len(nets_small) > len(nets_other):
+        nets_small, nets_other = nets_other, nets_small
     occ_of = p.net_occupancy
     pins_of = h.nets
     total = 0
     for n in nets_small:
-        if n in other_sets:
+        if n in nets_other:
             occ = occ_of[n]
             if occ[su] == 1 or occ[sv] == 1:
                 total += 2 if len(pins_of[n]) == 2 else 1
@@ -169,7 +169,7 @@ def variant_pass(
     m = ph.half_size
     if p.block_size[B1] != m or p.block_size[B2] != m:
         raise ValueError("pairwise pass needs equal block sizes")
-    state = init(h, p)
+    state = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count
     steps: list[PassStep] = []
     cum = 0
@@ -204,13 +204,8 @@ def variant_run(
     rng = random.Random(cfg.seed)
     started = time.perf_counter()
     ph = pad_dummy(h)
-    g = ph.graph
-    ids = list(range(g.cell_count))
-    rng.shuffle(ids)
-    side = [B2] * g.cell_count
-    for c in ids[: ph.half_size]:
-        side[c] = B1
-    p = Partition.from_sides(g, side)
+    # the padded count is even, so the split is exactly half and half
+    p = Partition.from_sides(ph.graph, random_balanced_sides(rng, ph.graph.cell_count))
     initial_cut = p.cut_count
     passes = 0
     while cfg.max_passes is None or passes < cfg.max_passes:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from fmpart.hypergraph import Partition, build
+from fmpart.synth import random_balanced_sides
 
 # the five-cell three-net fixture used throughout: c1..c5 are ids 0..4,
 # nets {c4,c5}, {c3,c5}, {c1,c2,c5}
@@ -48,12 +49,4 @@ def hypergraph_with_partition(draw, **kwargs):
 
 
 def balanced_partition(h, rng: random.Random) -> Partition:
-    ids = list(range(h.cell_count))
-    rng.shuffle(ids)
-    b1 = h.cell_count // 2
-    if h.cell_count % 2:
-        b1 += rng.randrange(2)
-    side = [1] * h.cell_count
-    for c in ids[:b1]:
-        side[c] = 0
-    return Partition.from_sides(h, side)
+    return Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))

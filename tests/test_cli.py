@@ -207,6 +207,38 @@ class TestCliMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_jobs_exit_two(self, fixture_files, tmp_path, capsys, value):
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(star), "--jobs", value, "--csv", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs: " in err and "at least 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    def test_bad_jobs_environment_exit_two(self, fixture_files, tmp_path, capsys, monkeypatch, value):
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        monkeypatch.setenv("PARTITION_JOBS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(star), "--csv", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "PARTITION_JOBS" in err and repr(value) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_jobs_flag_overrides_environment(self, fixture_files, tmp_path, monkeypatch):
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        monkeypatch.setenv("PARTITION_JOBS", "two")
+        assert main(["run", "--input", str(star), "--seeds", "1", "--jobs", "1", "--csv", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2
+
     def test_tie_policy_changes_variant_rows(self, tmp_path):
         h = clustered_hypergraph(random.Random(5), 200, 260)
         path = tmp_path / "clustered.hgr"

@@ -157,6 +157,14 @@ class TestBestPrefixIndex:
         ]
         assert best_prefix_index(5, 0, steps) == 0
 
+    def test_steps_are_immutable(self):
+        from fmpart.fm import PassStep
+
+        step = PassStep((0,), 1, 1, 4, 1)
+        assert (step.cells, step.gain, step.cum_gain, step.cut_after, step.size_diff) == ((0,), 1, 1, 4, 1)
+        with pytest.raises(AttributeError):
+            step.cut_after = 3
+
 
 class TestFmRun:
     def test_disjoint_pairs_always_optimal(self, h4):

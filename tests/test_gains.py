@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import C1, C2, C3, C4, C5, balanced_partition
-from fmpart.gains import GainBucket, audit, compute_gain, init, move_and_update, select_max
+from fmpart.gains import TIE_POLICIES, GainBucket, audit, compute_gain, init, move_and_update, select_max
 from fmpart.hypergraph import B1, B2, Partition, build, cut_count
 from fmpart.oracle import delta_cut_move
 from fmpart.synth import random_hypergraph
@@ -116,19 +116,20 @@ class TestSelectMax:
     def test_single_candidate(self):
         h = build([[0, 1]], 2)
         p = Partition.from_sides(h, [0, 1])
-        st = init(h, p)
-        for policy in ("random", "fifo", "lifo"):
+        for policy in TIE_POLICIES:
+            st = init(h, p, policy)
             assert select_max(st, B1, policy, random.Random(0)) == 0
 
     def test_empty_bucket_returns_none(self):
         h = build([], 2)
         p = Partition.from_sides(h, [0, 0])
-        st = init(h, p)
-        assert select_max(st, B2, "random", random.Random(0)) is None
+        for policy in TIE_POLICIES:
+            st = init(h, p, policy)
+            assert select_max(st, B2, policy, random.Random(0)) is None
 
     def test_seeded_random_pick_is_reproducible(self, h_star, p_star):
         # regression pin: both zero-gain cells of the smaller block tie
-        st = init(h_star, p_star)
+        st = init(h_star, p_star, "random")
         assert select_max(st, B2, "random", random.Random(42)) == C1
         assert select_max(st, B2, "random", random.Random(42)) == C1
         assert select_max(st, B2, "random", random.Random(7)) == C2
@@ -139,10 +140,27 @@ class TestSelectMax:
         assert select_max(st, B2, "fifo", None) == C1
         assert select_max(st, B2, "lifo", None) == C2
 
+    def test_policy_of_the_other_structure_rejected(self, h_star, p_star):
+        for built, asked in (("random", "lifo"), ("random", "fifo"), ("lifo", "random"), ("fifo", "random")):
+            st = init(h_star, p_star, built)
+            with pytest.raises(ValueError, match=f"{built}.*{asked}"):
+                select_max(st, B2, asked, random.Random(0))
+            with pytest.raises(ValueError, match=f"{built}.*{asked}"):
+                list(st.buckets[B1].iter_descending(asked, random.Random(0)))
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown tie policy"):
+            GainBucket(2, span=1, policy="best")
+
+
+# one tie policy per bucket structure: chains serve lifo and fifo, bags random
+STRUCTURES = pytest.mark.parametrize("policy", ["lifo", "random"], ids=["chain", "bag"])
+
 
 class TestGainBucket:
-    def test_max_pointer_falls_back_on_drain(self):
-        b = GainBucket(4, span=3)
+    @STRUCTURES
+    def test_max_pointer_falls_back_on_drain(self, policy):
+        b = GainBucket(4, span=3, policy=policy)
         b.insert(0, 2)
         b.insert(1, 2)
         b.insert(2, -1)
@@ -156,9 +174,10 @@ class TestGainBucket:
         assert b.max_gain() is None
         b.audit()
 
-    def test_relocate_keeps_links_consistent(self):
+    @STRUCTURES
+    def test_relocate_keeps_links_consistent(self, policy):
         rng = random.Random(17)
-        b = GainBucket(10, span=5)
+        b = GainBucket(10, span=5, policy=policy)
         gains = {}
         for c in range(10):
             gains[c] = rng.randint(-5, 5)
@@ -170,7 +189,34 @@ class TestGainBucket:
             b.audit()
         assert b.size == 10
 
-    def test_remove_absent_cell_rejected(self):
-        b = GainBucket(3, span=1)
+    @STRUCTURES
+    def test_remove_absent_cell_rejected(self, policy):
+        b = GainBucket(3, span=1, policy=policy)
         with pytest.raises(ValueError):
             b.remove(0)
+        with pytest.raises(ValueError):
+            b.relocate(0, 1)
+
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_relocate_orders_cells_as_remove_then_insert(self, policy):
+        # relocate is one body; the order it leaves must be the one that
+        # remove followed by insert leaves, slot by slot
+        rng = random.Random(18)
+        one = GainBucket(12, span=4, policy=policy)
+        two = GainBucket(12, span=4, policy=policy)
+        for c in range(12):
+            g = rng.randint(-4, 4)
+            one.insert(c, g)
+            two.insert(c, g)
+        for _ in range(300):
+            c = rng.randrange(12)
+            g = rng.randint(-4, 4)
+            one.relocate(c, g)
+            two.remove(c)
+            two.insert(c, g)
+            one.audit()
+            seed = rng.random()
+            assert list(one.iter_descending(policy, random.Random(seed))) == list(
+                two.iter_descending(policy, random.Random(seed))
+            )
+            assert one.max_slot == two.max_slot

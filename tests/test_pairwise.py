@@ -158,32 +158,39 @@ class TestBestPair:
     def test_exact_under_every_tie_policy_through_a_pass(self):
         # mid-size blocks at every step of a pass: locked cells gone, gains spread
         rng = random.Random(37)
-        checked = 0
+        checked = dict.fromkeys(TIE_POLICIES, 0)
 
-        def on_step(state, p, steps):
-            nonlocal checked
-            if not state.buckets[B1].size:
-                return
-            unlocked = [c for c in range(h.cell_count) if not state.locked[c]]
-            exhaustive = max(
-                pair_gain(h, p, state.gain, a, b)
-                for a in unlocked
-                for b in unlocked
-                if p.side[a] == B1 and p.side[b] == B2
-            )
-            for policy in TIE_POLICIES:
+        def checker(policy):
+            def on_step(state, p, steps):
+                if not state.buckets[B1].size:
+                    return
+                unlocked = [c for c in range(h.cell_count) if not state.locked[c]]
+                exhaustive = max(
+                    pair_gain(h, p, state.gain, a, b)
+                    for a in unlocked
+                    for b in unlocked
+                    if p.side[a] == B1 and p.side[b] == B2
+                )
                 sel = selection_state(state, len(unlocked) // 2, policy)
-                u, v = best_pair(sel, h, p, state.gain, random.Random(checked))
+                u, v = best_pair(sel, h, p, state.gain, random.Random(checked[policy]))
                 assert (p.side[u], p.side[v]) == (B1, B2)
                 assert not state.locked[u] and not state.locked[v]
                 assert pair_gain(h, p, state.gain, u, v) == exhaustive
-            checked += 1
+                checked[policy] += 1
+
+            return on_step
 
         for _ in range(8):
             n = rng.choice([40, 60])
             h = random_hypergraph(rng, n, rng.randint(n, 2 * n), 2, 6)
-            variant_pass(pad_dummy(h), exact_balanced_partition(h, rng), FmConfig(seed=1), rng, on_step=on_step)
-        assert checked > 100
+            start = exact_balanced_partition(h, rng)
+            # only the random policy draws from rng, so the instances stay the
+            # ones a single random-policy pass per instance would see
+            for policy in TIE_POLICIES:
+                cfg = FmConfig(seed=1, tie_policy=policy)
+                variant_pass(pad_dummy(h), start.clone(), cfg, rng, on_step=checker(policy))
+        for policy in TIE_POLICIES:
+            assert checked[policy] > 100
 
     def test_ordering_is_nonincreasing(self):
         rng = random.Random(34)
@@ -191,9 +198,9 @@ class TestBestPair:
             n = rng.choice([4, 8, 12])
             h = random_hypergraph(rng, n, rng.randint(1, 16), 1, 5)
             p = exact_balanced_partition(h, rng)
-            st = init(h, p)
-            for block in (B1, B2):
-                for policy in TIE_POLICIES:
+            for policy in TIE_POLICIES:
+                st = init(h, p, policy)
+                for block in (B1, B2):
                     order = list(st.buckets[block].iter_descending(policy, rng))
                     gains = [st.gain[c] for c in order]
                     assert gains == sorted(gains, reverse=True)
