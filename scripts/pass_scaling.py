@@ -54,7 +54,7 @@ def first_call_evals(cells, nets, tie, reps=15, master=3):
         ph = pad_dummy(h)
         p = equal_split(ph, rng)
         state = init(ph.graph, p, tie)
-        sel = selection_state(state, ph.half_size, tie)
+        sel = selection_state(state)
         best_pair(sel, ph.graph, p, state.gain, rng)
         total += sel.pair_gain_evals
         degree += h.max_cell_degree

@@ -3,11 +3,15 @@
 Move-based refinement with gain buckets, a pairwise-swap variant with exact
 swap gains, IBM/.hgr netlist parsing, a brute-force oracle, and a benchmark
 CLI (installed as `partition`).
+
+The package exports what a user drives: the run configuration and results,
+the hypergraph and partition, the runs and single passes of both
+algorithms, the oracle and the parsers. Gain buckets, pair search and other
+pass internals stay in their modules (`fmpart.gains`, `fmpart.pairwise`).
 """
 
 from .fm import FmConfig, PassStep, PassTrace, RunResult, fm_pass, fm_run, random_initial_partition
-from .gains import GainBucket, GainState, compute_gain, init, move_and_update, select_max
-from .hypergraph import B1, B2, Hypergraph, Partition, apply_move, build, cut_count, neighbors
+from .hypergraph import Hypergraph, Partition, build, cut_count
 from .netlist_io import (
     NetlistDocument,
     NetlistFormatError,
@@ -17,56 +21,30 @@ from .netlist_io import (
     write_partition,
 )
 from .oracle import OracleResult, delta_cut_move, delta_cut_swap, exact_min_cut_balanced
-from .pairwise import (
-    PaddedHypergraph,
-    PairSelectionState,
-    best_pair,
-    correct_term,
-    pad_dummy,
-    pair_gain,
-    selection_state,
-    variant_pass,
-    variant_run,
-)
+from .pairwise import pad_dummy, variant_pass, variant_run
 
 __all__ = [
-    "B1",
-    "B2",
     "FmConfig",
-    "GainBucket",
-    "GainState",
     "Hypergraph",
     "NetlistDocument",
     "NetlistFormatError",
     "OracleResult",
-    "PaddedHypergraph",
-    "PairSelectionState",
     "Partition",
     "PassStep",
     "PassTrace",
     "RunResult",
-    "apply_move",
-    "best_pair",
     "build",
-    "compute_gain",
-    "correct_term",
     "cut_count",
     "delta_cut_move",
     "delta_cut_swap",
     "exact_min_cut_balanced",
     "fm_pass",
     "fm_run",
-    "init",
-    "move_and_update",
-    "neighbors",
     "pad_dummy",
-    "pair_gain",
     "parse_hgr",
     "parse_ibm_net",
     "random_initial_partition",
     "read_partition",
-    "select_max",
-    "selection_state",
     "variant_pass",
     "variant_run",
     "write_partition",

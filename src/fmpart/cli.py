@@ -257,16 +257,10 @@ def _cmd_verify(args) -> int:
             failed = True
             continue
         optimum = exact_min_cut_balanced(h, "off_by_one").optimum_cut
-        fm_best = None
-        var_best = None
-        for seed in args.seeds:
-            cfg = FmConfig(seed=seed, tie_policy=args.tie, max_passes=args.max_passes)
-            fm_cut = fm_run(h, cfg, label=label).optimal_cut
-            var_cut = variant_run(h, cfg, label=label).optimal_cut
-            fm_best = fm_cut if fm_best is None else min(fm_best, fm_cut)
-            var_best = var_cut if var_best is None else min(var_best, var_cut)
-        match = "yes" if fm_best == optimum and var_best == optimum else "no"
-        print(f"{label}: fm={fm_best} variant={var_best} oracle={optimum} match={match}")
+        cfg = FmConfig(tie_policy=args.tie, max_passes=args.max_passes)
+        _rows, (best,) = run_experiment([(label, h)], ("fm", "fm_variant"), args.seeds, cfg)
+        match = "yes" if best.fm_best == optimum and best.variant_best == optimum else "no"
+        print(f"{label}: fm={best.fm_best} variant={best.variant_best} oracle={optimum} match={match}")
     return 1 if failed else 0
 
 

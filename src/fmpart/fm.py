@@ -3,7 +3,8 @@
 A pass moves every cell exactly once, highest stored gain first, with the
 source block gated by a gain/size dominance rule, then rolls the partition
 back to the best balanced prefix of the move sequence. The driver repeats
-passes while they keep improving the cut.
+passes while they keep improving the cut. The pass close-out and the driver
+are shared with the pairwise-swap pass, which differs only in its move unit.
 """
 
 from __future__ import annotations
@@ -128,6 +129,33 @@ def rollback_to_prefix(h: Hypergraph, p: Partition, steps: list[PassStep], keep:
             apply_move(p, h, c)
 
 
+def close_pass(
+    h: Hypergraph,
+    p: Partition,
+    initial_cut: int,
+    initial_diff: int,
+    steps: list[PassStep],
+    pair_gain_evals: int = 0,
+) -> PassTrace:
+    """Roll p back to the best balanced prefix of steps and record the pass."""
+    best = best_prefix_index(initial_cut, initial_diff, steps)
+    rollback_to_prefix(h, p, steps, best)
+    return PassTrace(initial_cut, initial_diff, steps, best, pair_gain_evals)
+
+
+def repeat_passes(p: Partition, max_passes: Optional[int], one_pass: Callable[[], object]) -> int:
+    """Call one_pass while it lowers p's cut, at most max_passes times
+    (None: no cap); return the number of passes made."""
+    passes = 0
+    while max_passes is None or passes < max_passes:
+        before = p.cut_count
+        one_pass()
+        passes += 1
+        if p.cut_count >= before:
+            break
+    return passes
+
+
 def fm_pass(
     h: Hypergraph,
     p: Partition,
@@ -140,8 +168,7 @@ def fm_pass(
     On return p sits at the minimum-cut balanced configuration seen during
     the pass (or where it started, when nothing better appeared).
     """
-    tie = cfg.tie_policy
-    state = init(h, p, tie)
+    state = init(h, p, cfg.tie_policy)
     gain = state.gain
     sizes = p.block_size
     initial_cut = p.cut_count
@@ -152,16 +179,14 @@ def fm_pass(
         blk = _source_block(state, p)
         if blk is None:
             break
-        c = select_max(state, blk, tie, rng)
+        c = select_max(state, blk, rng)
         g = gain[c]
         move_and_update(state, h, p, c)
         cum += g
         steps.append(PassStep((c,), g, cum, p.cut_count, sizes[B1] - sizes[B2]))
         if on_step is not None:
             on_step(state, p, steps)
-    best = best_prefix_index(initial_cut, initial_diff, steps)
-    rollback_to_prefix(h, p, steps, best)
-    return PassTrace(initial_cut, initial_diff, steps, best)
+    return close_pass(h, p, initial_cut, initial_diff, steps)
 
 
 def fm_run(
@@ -175,12 +200,6 @@ def fm_run(
     started = time.perf_counter()
     p = random_initial_partition(h, rng)
     initial_cut = p.cut_count
-    passes = 0
-    while cfg.max_passes is None or passes < cfg.max_passes:
-        before = p.cut_count
-        fm_pass(h, p, cfg, rng, on_step=on_step)
-        passes += 1
-        if p.cut_count >= before:
-            break
+    passes = repeat_passes(p, cfg.max_passes, lambda: fm_pass(h, p, cfg, rng, on_step=on_step))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return RunResult(label, "fm", cfg.seed, initial_cut, p.cut_count, passes, elapsed_ms, tuple(p.side))

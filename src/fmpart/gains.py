@@ -35,8 +35,8 @@ class GainBucket:
     Chain order depends only on chain operations and bag order only on bag
     operations, so either structure alone orders its cells exactly as a
     bucket keeping both would. Insert, remove and relocate are O(1); the
-    max pointer falls back by linear scan when its slot drains. A request
-    for a policy the bucket was not built for raises ValueError.
+    max pointer falls back by linear scan when its slot drains. `select`
+    and `iter_descending` order ties by the policy the bucket was built for.
     """
 
     __slots__ = (
@@ -67,12 +67,6 @@ class GainBucket:
 
     def __contains__(self, cell: int) -> bool:
         return self.slot[cell] != _NONE
-
-    def _check_policy(self, policy: str) -> None:
-        if policy not in TIE_POLICIES:
-            raise ValueError(f"unknown tie policy {policy!r}")
-        if (policy == "random") == self.chained:
-            raise ValueError(f"bucket built for tie policy {self.policy!r} cannot serve {policy!r}")
 
     def _top_from(self, slot: int) -> int:
         """The highest nonempty slot at or below slot, or -1."""
@@ -178,7 +172,7 @@ class GainBucket:
     def max_gain(self) -> Optional[int]:
         return None if self.max_slot == _NONE else self.max_slot - self.span
 
-    def iter_descending(self, policy: str = "lifo", rng: Optional[random.Random] = None):
+    def iter_descending(self, rng: Optional[random.Random] = None):
         """All cells, highest gain slot first, produced on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
@@ -187,41 +181,38 @@ class GainBucket:
         slot's bag, drawn from rng on entering the slot, and wraps around.
         Empty slots are skipped, so k cells cost O(k + gain span).
         """
-        self._check_policy(policy)
-        if policy == "random":
-            if rng is None:
-                raise ValueError("random tie policy needs an rng")
-            bags = self.bags
-            for slot in range(self.max_slot, -1, -1):
-                bag = bags[slot]
-                n = len(bag)
-                if not n:
-                    continue
-                k = rng.randrange(n)
-                for i in range(k, k + n):
-                    yield bag[i - n if i >= n else i]
-        else:
-            link = self.prv if policy == "fifo" else self.nxt
+        if self.chained:
+            link = self.prv if self.policy == "fifo" else self.nxt
             for end in range(self.anchor + self.max_slot, self.anchor - 1, -1):
                 c = link[end]
                 while c != end:
                     yield c
                     c = link[c]
+            return
+        if rng is None:
+            raise ValueError("random tie policy needs an rng")
+        bags = self.bags
+        for slot in range(self.max_slot, -1, -1):
+            bag = bags[slot]
+            n = len(bag)
+            if not n:
+                continue
+            k = rng.randrange(n)
+            for i in range(k, k + n):
+                yield bag[i - n if i >= n else i]
 
-    def select(self, policy: str, rng: Optional[random.Random]) -> Optional[int]:
-        """One cell from the max slot, or None when the bucket is empty."""
-        if policy == "random" and not self.chained:
-            if self.size == 0:
-                return None
-            if rng is None:
-                raise ValueError("random tie policy needs an rng")
-            bag = self.bags[self.max_slot]
-            return bag[rng.randrange(len(bag))]
-        self._check_policy(policy)
+    def select(self, rng: Optional[random.Random] = None) -> Optional[int]:
+        """One cell from the max slot in tie-policy order, or None when the
+        bucket is empty; only the random policy draws from rng."""
         if self.size == 0:
             return None
-        link = self.nxt if policy == "lifo" else self.prv
-        return link[self.anchor + self.max_slot]
+        if self.chained:
+            link = self.prv if self.policy == "fifo" else self.nxt
+            return link[self.anchor + self.max_slot]
+        if rng is None:
+            raise ValueError("random tie policy needs an rng")
+        bag = self.bags[self.max_slot]
+        return bag[rng.randrange(len(bag))]
 
     def audit(self) -> None:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
@@ -294,9 +285,8 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 
 
 def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> GainState:
-    """Unlock every cell, compute all gains, and fill both buckets with the
-    structure tie_policy reads (see GainBucket). The default, lifo, is also
-    the default of `selection_state` and `GainBucket.iter_descending`."""
+    """Unlock every cell, compute all gains, and fill both buckets, built
+    for tie_policy (see GainBucket); every later selection reads it there."""
     span = h.max_cell_degree
     buckets = (GainBucket(h.cell_count, span, tie_policy), GainBucket(h.cell_count, span, tie_policy))
     gain = [compute_gain(h, p, c) for c in range(h.cell_count)]
@@ -368,14 +358,10 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
                     break
 
 
-def select_max(
-    state: GainState,
-    block: int,
-    tie_policy: str = "random",
-    rng: Optional[random.Random] = None,
-) -> Optional[int]:
-    """An unlocked cell at the block's max gain index, or None if none remain."""
-    return state.buckets[block].select(tie_policy, rng)
+def select_max(state: GainState, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
+    """An unlocked cell at the block's max gain index, picked by the tie
+    policy of the state, or None if none remain."""
+    return state.buckets[block].select(rng)
 
 
 def audit(state: GainState, h: Hypergraph, p: Partition) -> None:

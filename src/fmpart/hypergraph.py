@@ -97,9 +97,8 @@ class Partition:
         )
 
 
-def cut_count(h: Hypergraph, p: Partition) -> int:
-    """Number of nets with pins in both blocks, recomputed from the side vector."""
-    side = p.side
+def cut_count(h: Hypergraph, side: Sequence[int]) -> int:
+    """Number of nets with pins in both blocks, recomputed from a side vector."""
     total = 0
     for pins in h.nets:
         if len(pins) < 2:

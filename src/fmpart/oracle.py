@@ -7,11 +7,10 @@ the incremental bookkeeping it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, Partition
+from .hypergraph import Hypergraph, Partition, cut_count
 
 MAX_ORACLE_CELLS = 24
 
@@ -23,19 +22,6 @@ _CHUNK = 1 << 20
 class OracleResult:
     optimum_cut: int
     witness: Partition
-
-
-def _recount(h: Hypergraph, side: Sequence[int]) -> int:
-    total = 0
-    for pins in h.nets:
-        if len(pins) < 2:
-            continue
-        first = side[pins[0]]
-        for c in pins[1:]:
-            if side[c] != first:
-                total += 1
-                break
-    return total
 
 
 def exact_min_cut_balanced(h: Hypergraph, balance: str = "off_by_one") -> OracleResult:
@@ -108,9 +94,9 @@ def exact_min_cut_balanced(h: Hypergraph, balance: str = "off_by_one") -> Oracle
 def delta_cut_move(h: Hypergraph, p: Partition, c: int) -> int:
     """cut(p) - cut(p with c flipped), by two full recounts."""
     side = list(p.side)
-    before = _recount(h, side)
+    before = cut_count(h, side)
     side[c] ^= 1
-    return before - _recount(h, side)
+    return before - cut_count(h, side)
 
 
 def delta_cut_swap(h: Hypergraph, p: Partition, u: int, v: int) -> int:
@@ -118,7 +104,7 @@ def delta_cut_swap(h: Hypergraph, p: Partition, u: int, v: int) -> int:
     if p.side[u] == p.side[v]:
         raise ValueError("swap endpoints share a block")
     side = list(p.side)
-    before = _recount(h, side)
+    before = cut_count(h, side)
     side[u] ^= 1
     side[v] ^= 1
-    return before - _recount(h, side)
+    return before - cut_count(h, side)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, best_prefix_index, rollback_to_prefix
+from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, close_pass, repeat_passes
 from .gains import GainBucket, GainState, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition, build
 from .synth import random_balanced_sides
@@ -81,18 +81,17 @@ class PairSelectionState:
     """One step's pair search over the live gain buckets.
 
     `best_pair` walks each block lazily in nonincreasing gain order, within
-    a slot in `tie_policy` order, and draws cells only as its heap asks.
+    a slot in the order of the buckets' tie policy, and draws cells only as
+    its heap asks.
     """
 
     buckets: tuple[GainBucket, GainBucket]
-    m: int
-    tie_policy: str = "lifo"
     pair_gain_evals: int = 0
 
 
-def selection_state(state: GainState, m: int, tie_policy: str = "lifo") -> PairSelectionState:
+def selection_state(state: GainState) -> PairSelectionState:
     """Set up a pair search over the current buckets; constant time."""
-    return PairSelectionState(state.buckets, m, tie_policy)
+    return PairSelectionState(state.buckets)
 
 
 def _reach(cells: list[int], order: Iterator[int], k: int) -> bool:
@@ -112,8 +111,8 @@ def best_pair(
     p: Partition,
     gains: Sequence[int],
     rng: random.Random,
-) -> tuple[int, int]:
-    """Cross-block pair with the highest exact swap gain.
+) -> tuple[int, int, int]:
+    """Cross-block pair with the highest exact swap gain, as (u, v, gain).
 
     Candidates come off a max-heap keyed by the bound gains[u] + gains[v],
     which dominates the exact pair gain because the correction term is
@@ -127,23 +126,21 @@ def best_pair(
     b1, b2 = state.buckets
     if not b1.size or not b2.size:
         raise ValueError("a block has no unlocked cells")
-    order_u = b1.iter_descending(state.tie_policy, rng)
-    order_v = b2.iter_descending(state.tie_policy, rng)
+    order_u = b1.iter_descending(rng)
+    order_v = b2.iter_descending(rng)
     us = [next(order_u)]
     vs = [next(order_v)]
-    best_g: Optional[int] = None
-    best = (us[0], vs[0])
+    best: Optional[tuple[int, int, int]] = None
     heap = [(-(gains[us[0]] + gains[vs[0]]), 0, 0)]
     while heap:
         negb, i, j = heapq.heappop(heap)
-        if best_g is not None and -negb <= best_g:
+        if best is not None and -negb <= best[2]:
             break
         u, v = us[i], vs[j]
         g = pair_gain(h, p, gains, u, v)
         state.pair_gain_evals += 1
-        if best_g is None or g > best_g:
-            best_g = g
-            best = (u, v)
+        if best is None or g > best[2]:
+            best = (u, v, g)
         if _reach(vs, order_v, j + 1):
             heapq.heappush(heap, (-(gains[u] + gains[vs[j + 1]]), i, j + 1))
         if j == 0 and _reach(us, order_u, i + 1):
@@ -175,21 +172,16 @@ def variant_pass(
     cum = 0
     evals = 0
     for _ in range(m):
-        sel = selection_state(state, m, cfg.tie_policy)
-        u, v = best_pair(sel, h, p, state.gain, rng)
+        sel = selection_state(state)
+        u, v, g = best_pair(sel, h, p, state.gain, rng)
         evals += sel.pair_gain_evals
-        g = pair_gain(h, p, state.gain, u, v)
         move_and_update(state, h, p, u)
         move_and_update(state, h, p, v)
         cum += g
         steps.append(PassStep((u, v), g, cum, p.cut_count, p.block_size[B1] - p.block_size[B2]))
         if on_step is not None:
             on_step(state, p, steps)
-    best = best_prefix_index(initial_cut, 0, steps)
-    rollback_to_prefix(h, p, steps, best)
-    trace = PassTrace(initial_cut, 0, steps, best)
-    trace.pair_gain_evals = evals
-    return trace
+    return close_pass(h, p, initial_cut, 0, steps, evals)
 
 
 def variant_run(
@@ -207,13 +199,7 @@ def variant_run(
     # the padded count is even, so the split is exactly half and half
     p = Partition.from_sides(ph.graph, random_balanced_sides(rng, ph.graph.cell_count))
     initial_cut = p.cut_count
-    passes = 0
-    while cfg.max_passes is None or passes < cfg.max_passes:
-        before = p.cut_count
-        variant_pass(ph, p, cfg, rng, on_step=on_step)
-        passes += 1
-        if p.cut_count >= before:
-            break
+    passes = repeat_passes(p, cfg.max_passes, lambda: variant_pass(ph, p, cfg, rng, on_step=on_step))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     final = tuple(p.side[: h.cell_count])
     return RunResult(label, "fm_variant", cfg.seed, initial_cut, p.cut_count, passes, elapsed_ms, final)

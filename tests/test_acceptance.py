@@ -101,8 +101,8 @@ def test_criterion_04_best_pair_matches_exhaustive_enumeration():
         rng.shuffle(side)
         p = Partition.from_sides(h, side)
         state = init(h, p)
-        sel = selection_state(state, n // 2)
-        u, v = best_pair(sel, h, p, state.gain, rng)
+        sel = selection_state(state)
+        u, v, _ = best_pair(sel, h, p, state.gain, rng)
         got = pair_gain(h, p, state.gain, u, v)
         exhaustive = max(
             pair_gain(h, p, state.gain, a, b)
@@ -268,7 +268,7 @@ def test_criterion_09_scaling_trends():
                 side[c] = B1
             p = Partition.from_sides(ph.graph, side)
             state = init(ph.graph, p)
-            sel = selection_state(state, ph.half_size)
+            sel = selection_state(state)
             best_pair(sel, ph.graph, p, state.gain, rng)
             total += sel.pair_gain_evals
             bound_ok &= sel.pair_gain_evals <= max(h.max_cell_degree, 1) ** 2

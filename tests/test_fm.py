@@ -106,7 +106,7 @@ class TestFmPass:
                 for c in st.cells:
                     apply_move(q, h, c)
                 assert q.cut_count == st.cut_after
-                assert cut_count(h, q) == st.cut_after
+                assert cut_count(h, q.side) == st.cut_after
 
     def test_rollback_replay_reproduces_partition(self):
         rng = random.Random(22)

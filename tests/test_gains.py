@@ -92,7 +92,7 @@ class TestMoveAndUpdate:
             for c in order:
                 move_and_update(st, h, p, c)
                 audit(st, h, p)  # also checks stored gains == from-scratch
-                assert p.cut_count == cut_count(h, p)
+                assert p.cut_count == cut_count(h, p.side)
 
     def test_gain_bound_holds_throughout(self):
         rng = random.Random(16)
@@ -118,35 +118,26 @@ class TestSelectMax:
         p = Partition.from_sides(h, [0, 1])
         for policy in TIE_POLICIES:
             st = init(h, p, policy)
-            assert select_max(st, B1, policy, random.Random(0)) == 0
+            assert select_max(st, B1, random.Random(0)) == 0
 
     def test_empty_bucket_returns_none(self):
         h = build([], 2)
         p = Partition.from_sides(h, [0, 0])
         for policy in TIE_POLICIES:
             st = init(h, p, policy)
-            assert select_max(st, B2, policy, random.Random(0)) is None
+            assert select_max(st, B2, random.Random(0)) is None
 
     def test_seeded_random_pick_is_reproducible(self, h_star, p_star):
         # regression pin: both zero-gain cells of the smaller block tie
         st = init(h_star, p_star, "random")
-        assert select_max(st, B2, "random", random.Random(42)) == C1
-        assert select_max(st, B2, "random", random.Random(42)) == C1
-        assert select_max(st, B2, "random", random.Random(7)) == C2
+        assert select_max(st, B2, random.Random(42)) == C1
+        assert select_max(st, B2, random.Random(42)) == C1
+        assert select_max(st, B2, random.Random(7)) == C2
 
     def test_fifo_lifo_orders(self, h_star, p_star):
         # cells enter buckets in ascending id order at init
-        st = init(h_star, p_star)
-        assert select_max(st, B2, "fifo", None) == C1
-        assert select_max(st, B2, "lifo", None) == C2
-
-    def test_policy_of_the_other_structure_rejected(self, h_star, p_star):
-        for built, asked in (("random", "lifo"), ("random", "fifo"), ("lifo", "random"), ("fifo", "random")):
-            st = init(h_star, p_star, built)
-            with pytest.raises(ValueError, match=f"{built}.*{asked}"):
-                select_max(st, B2, asked, random.Random(0))
-            with pytest.raises(ValueError, match=f"{built}.*{asked}"):
-                list(st.buckets[B1].iter_descending(asked, random.Random(0)))
+        assert select_max(init(h_star, p_star, "fifo"), B2) == C1
+        assert select_max(init(h_star, p_star, "lifo"), B2) == C2
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown tie policy"):
@@ -216,7 +207,7 @@ class TestGainBucket:
             two.insert(c, g)
             one.audit()
             seed = rng.random()
-            assert list(one.iter_descending(policy, random.Random(seed))) == list(
-                two.iter_descending(policy, random.Random(seed))
+            assert list(one.iter_descending(random.Random(seed))) == list(
+                two.iter_descending(random.Random(seed))
             )
             assert one.max_slot == two.max_slot

@@ -49,26 +49,26 @@ class TestBuild:
 
 class TestCutCount:
     def test_fixture_cut_is_one(self, h_star, p_star):
-        assert cut_count(h_star, p_star) == 1
+        assert cut_count(h_star, p_star.side) == 1
         assert p_star.cut_count == 1
 
     def test_everything_in_one_block(self, h_star):
         p = Partition.from_sides(h_star, [0] * 5)
-        assert cut_count(h_star, p) == 0
+        assert cut_count(h_star, p.side) == 0
 
     def test_three_cut_split(self, h_star):
         # B1 = {c1,c3,c4}, B2 = {c2,c5}: every net crosses
         p = Partition.from_sides(h_star, [0, 1, 0, 0, 1])
-        assert cut_count(h_star, p) == 3
+        assert cut_count(h_star, p.side) == 3
 
     def test_relabel_invariance(self, h_star, p_star):
         flipped = Partition.from_sides(h_star, [1 - s for s in p_star.side])
-        assert cut_count(h_star, flipped) == cut_count(h_star, p_star)
+        assert cut_count(h_star, flipped.side) == cut_count(h_star, p_star.side)
 
     def test_degenerate_nets_never_cut(self):
         h = build([[], [0], [0, 1]], 2)
         p = Partition.from_sides(h, [0, 1])
-        assert cut_count(h, p) == 1  # only the two-pin net
+        assert cut_count(h, p.side) == 1  # only the two-pin net
 
 
 class TestNeighbors:
@@ -93,7 +93,7 @@ class TestApplyMove:
         assert p_star.side[C5] == 1
         assert p_star.cut_count == 2  # the triple net uncuts, both pairs cut
         assert p_star.block_size == [2, 3]
-        assert p_star.cut_count == cut_count(h_star, p_star)
+        assert p_star.cut_count == cut_count(h_star, p_star.side)
 
     def test_involution(self, h_star, p_star):
         snapshot = p_star.clone()
@@ -115,7 +115,7 @@ def test_incremental_cut_matches_recount(hp, moves):
     h, p = hp
     for m in moves:
         apply_move(p, h, m % h.cell_count)
-        assert p.cut_count == cut_count(h, p)
+        assert p.cut_count == cut_count(h, p.side)
         assert p.block_size == [p.side.count(0), p.side.count(1)]
         for n, pins in enumerate(h.nets):
             occ = p.net_occupancy[n]

@@ -20,7 +20,7 @@ def brute_force_minimum(h, balance):
             continue
         if abs(sizes[0] - sizes[1]) > 1:
             continue
-        c = cut_count(h, Partition.from_sides(h, list(bits)))
+        c = cut_count(h, bits)
         if best is None or c < best:
             best, best_side = c, bits
     return best, best_side
@@ -75,7 +75,7 @@ class TestExactMinCut:
                 bits
                 for bits in itertools.product((0, 1), repeat=n)
                 if abs(2 * bits.count(0) - n) <= 1
-                and cut_count(h, Partition.from_sides(h, list(bits))) == want_cut
+                and cut_count(h, bits) == want_cut
             ]
             assert tuple(res.witness.side) == min(candidates)
 

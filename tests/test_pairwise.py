@@ -110,21 +110,22 @@ class TestBestPair:
         h = build([[0, 1]], 2)
         p = Partition.from_sides(h, [0, 1])
         st = init(h, p)
-        sel = selection_state(st, 1)
-        assert best_pair(sel, h, p, st.gain, random.Random(0)) == (0, 1)
+        sel = selection_state(st)
+        u, v, _ = best_pair(sel, h, p, st.gain, random.Random(0))
+        assert (u, v) == (0, 1)
 
     def test_disjoint_pairs_find_plus_two(self, h4):
         p = Partition.from_sides(h4, [0, 0, 1, 1])
         st = init(h4, p)
-        sel = selection_state(st, 2)
-        u, v = best_pair(sel, h4, p, st.gain, random.Random(1))
+        sel = selection_state(st)
+        u, v, _ = best_pair(sel, h4, p, st.gain, random.Random(1))
         assert (u, v) in ((0, 3), (1, 2))
         assert pair_gain(h4, p, st.gain, u, v) == 2
 
     def test_five_cell_maximum_is_minus_one(self, h_star, p_star):
         st = init(h_star, p_star)
-        sel = selection_state(st, 2)
-        u, v = best_pair(sel, h_star, p_star, st.gain, random.Random(2))
+        sel = selection_state(st)
+        u, v, _ = best_pair(sel, h_star, p_star, st.gain, random.Random(2))
         assert pair_gain(h_star, p_star, st.gain, u, v) == -1
         assert (u, v) not in ((C5, C1), (C5, C2))
 
@@ -132,7 +133,7 @@ class TestBestPair:
         h = build([], 2)
         p = Partition.from_sides(h, [0, 0])
         st = init(h, p)
-        sel = selection_state(st, 1)
+        sel = selection_state(st)
         with pytest.raises(ValueError):
             best_pair(sel, h, p, st.gain, random.Random(0))
 
@@ -143,8 +144,8 @@ class TestBestPair:
             h = random_hypergraph(rng, n, rng.randint(1, 24), 1, 6)
             p = exact_balanced_partition(h, rng)
             st = init(h, p)
-            sel = selection_state(st, n // 2)
-            u, v = best_pair(sel, h, p, st.gain, rng)
+            sel = selection_state(st)
+            u, v, _ = best_pair(sel, h, p, st.gain, rng)
             got = pair_gain(h, p, st.gain, u, v)
             exhaustive = max(
                 pair_gain(h, p, st.gain, a, b)
@@ -154,6 +155,17 @@ class TestBestPair:
             )
             assert got == exhaustive
             assert sel.pair_gain_evals <= (n // 2) ** 2
+
+    def test_returned_gain_is_the_exact_swap_gain(self):
+        rng = random.Random(35)
+        for _ in range(100):
+            n = rng.choice([2, 4, 6, 8, 10])
+            h = random_hypergraph(rng, n, rng.randint(1, 16), 1, 6)
+            p = exact_balanced_partition(h, rng)
+            for policy in TIE_POLICIES:
+                st = init(h, p, policy)
+                u, v, g = best_pair(selection_state(st), h, p, st.gain, rng)
+                assert g == pair_gain(h, p, st.gain, u, v) == delta_cut_swap(h, p, u, v)
 
     def test_exact_under_every_tie_policy_through_a_pass(self):
         # mid-size blocks at every step of a pass: locked cells gone, gains spread
@@ -171,8 +183,8 @@ class TestBestPair:
                     for b in unlocked
                     if p.side[a] == B1 and p.side[b] == B2
                 )
-                sel = selection_state(state, len(unlocked) // 2, policy)
-                u, v = best_pair(sel, h, p, state.gain, random.Random(checked[policy]))
+                sel = selection_state(state)
+                u, v, _ = best_pair(sel, h, p, state.gain, random.Random(checked[policy]))
                 assert (p.side[u], p.side[v]) == (B1, B2)
                 assert not state.locked[u] and not state.locked[v]
                 assert pair_gain(h, p, state.gain, u, v) == exhaustive
@@ -201,7 +213,7 @@ class TestBestPair:
             for policy in TIE_POLICIES:
                 st = init(h, p, policy)
                 for block in (B1, B2):
-                    order = list(st.buckets[block].iter_descending(policy, rng))
+                    order = list(st.buckets[block].iter_descending(rng))
                     gains = [st.gain[c] for c in order]
                     assert gains == sorted(gains, reverse=True)
                     assert sorted(order) == sorted(c for c in range(n) if p.side[c] == block)
