@@ -111,17 +111,6 @@ def cut_count(h: Hypergraph, side: Sequence[int]) -> int:
     return total
 
 
-def neighbors(h: Hypergraph, c: int) -> set[int]:
-    """Cells sharing at least one net with c, excluding c itself."""
-    if not 0 <= c < h.cell_count:
-        raise ValueError(f"cell id {c} out of range")
-    out: set[int] = set()
-    for n in h.cell_nets[c]:
-        out.update(h.nets[n])
-    out.discard(c)
-    return out
-
-
 def apply_move(p: Partition, h: Hypergraph, c: int) -> None:
     """Flip c's block, updating sizes, occupancy and cut in O(degree of c)."""
     f = p.side[c]

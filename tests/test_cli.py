@@ -239,6 +239,20 @@ class TestCliMain:
         assert main(["run", "--input", str(star), "--seeds", "1", "--jobs", "1", "--csv", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 2
 
+    def test_parallel_csvs_match_serial_bytes(self, fixture_files, tmp_path):
+        star, quad = fixture_files
+        outputs = []
+        for jobs in ("1", "2"):
+            rows, summary = tmp_path / f"rows{jobs}.csv", tmp_path / f"summary{jobs}.csv"
+            code = main([
+                "run", "--input", str(star), str(quad), "--algo", "both", "--seeds", "3",
+                "--jobs", jobs, "--csv", str(rows), "--summary", str(summary),
+            ])
+            assert code == 0
+            outputs.append((normalize_elapsed(rows.read_text()), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 1 + 2 * 2 * 3
+
     def test_tie_policy_changes_variant_rows(self, tmp_path):
         h = clustered_hypergraph(random.Random(5), 200, 260)
         path = tmp_path / "clustered.hgr"

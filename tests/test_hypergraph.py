@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import C1, C2, C3, C4, C5, hypergraph_with_partition
-from fmpart.hypergraph import Partition, apply_move, build, cut_count, neighbors
+from conftest import C1, C3, C5, hypergraph_with_partition
+from fmpart.hypergraph import Partition, apply_move, build, cut_count
 
 
 class TestBuild:
@@ -69,22 +69,6 @@ class TestCutCount:
         h = build([[], [0], [0, 1]], 2)
         p = Partition.from_sides(h, [0, 1])
         assert cut_count(h, p.side) == 1  # only the two-pin net
-
-
-class TestNeighbors:
-    def test_hub_cell(self, h_star):
-        assert neighbors(h_star, C5) == {C1, C2, C3, C4}
-
-    def test_leaf_cell(self, h_star):
-        assert neighbors(h_star, C1) == {C2, C5}
-
-    def test_isolated_cell(self):
-        h = build([[0, 1]], 3)
-        assert neighbors(h, 2) == set()
-
-    def test_out_of_range(self, h_star):
-        with pytest.raises(ValueError):
-            neighbors(h_star, 5)
 
 
 class TestApplyMove:

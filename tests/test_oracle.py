@@ -1,11 +1,19 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import C1, C4, C5, balanced_partition
 from fmpart.hypergraph import Partition, apply_move, build, cut_count
-from fmpart.oracle import delta_cut_move, delta_cut_swap, exact_min_cut_balanced
+from fmpart.oracle import (
+    MAX_ORACLE_CELLS,
+    OracleResult,
+    _count_dtype,
+    delta_cut_move,
+    delta_cut_swap,
+    exact_min_cut_balanced,
+)
 from fmpart.synth import random_hypergraph
 
 
@@ -24,6 +32,67 @@ def brute_force_minimum(h, balance):
         if best is None or c < best:
             best, best_side = c, bits
     return best, best_side
+
+
+_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_CHUNK = 1 << 20
+
+
+def chunked_enumeration(h, balance):
+    """The oracle's earlier form: every mask in chunks, cut counted per net.
+
+    Kept as the reference for instances too large for itertools.
+    """
+    n = h.cell_count
+    if n == 0:
+        return OracleResult(0, Partition.from_sides(h, []))
+
+    # cell i occupies bit (n-1-i); cell 0 is pinned, so ascending mask order
+    # is lexicographic order of the side vector
+    net_specs = []
+    for pins in h.nets:
+        if len(pins) < 2:
+            continue
+        mask = 0
+        has_pinned = False
+        for c in pins:
+            if c == 0:
+                has_pinned = True
+            else:
+                mask |= 1 << (n - 1 - c)
+        net_specs.append((np.uint32(mask), has_pinned))
+
+    best_cut = None
+    best_mask = 0
+    total = 1 << (n - 1)
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        masks = np.arange(start, stop, dtype=np.uint32)
+        pop = (_POPCOUNT16[masks & 0xFFFF] + _POPCOUNT16[masks >> 16]).astype(np.int32)
+        if balance == "exact_halves":
+            ok = pop == n // 2
+        else:
+            ok = np.abs(n - 2 * pop) <= 1
+        masks = masks[ok]
+        if masks.size == 0:
+            continue
+        cuts = np.zeros(masks.size, dtype=np.int32)
+        for mask, has_pinned in net_specs:
+            sub = masks & mask
+            if has_pinned:
+                cuts += sub != 0
+            else:
+                cuts += (sub != 0) & (sub != mask)
+        i = int(np.argmin(cuts))  # first occurrence keeps the earliest mask
+        c = int(cuts[i])
+        if best_cut is None or c < best_cut:
+            best_cut = c
+            best_mask = int(masks[i])
+
+    side = [0] * n
+    for c in range(1, n):
+        side[c] = (best_mask >> (n - 1 - c)) & 1
+    return OracleResult(int(best_cut), Partition.from_sides(h, side))
 
 
 class TestExactMinCut:
@@ -78,6 +147,41 @@ class TestExactMinCut:
                 and cut_count(h, bits) == want_cut
             ]
             assert tuple(res.witness.side) == min(candidates)
+
+    def test_matches_pure_python_enumeration_beyond_eight_cells(self):
+        rng = random.Random(9)
+        for n in (12, 13, 14):
+            h = random_hypergraph(rng, n, 2 * n, 2, 5)
+            for balance in ("off_by_one",) + (("exact_halves",) if n % 2 == 0 else ()):
+                want, _ = brute_force_minimum(h, balance)
+                assert exact_min_cut_balanced(h, balance).optimum_cut == want
+
+    def test_matches_chunked_enumeration(self):
+        rng = random.Random(10)
+        for n in range(15, 23):
+            h = random_hypergraph(rng, n, rng.randint(n, 3 * n), 2, rng.randint(2, 6))
+            for balance in ("off_by_one",) + (("exact_halves",) if n % 2 == 0 else ()):
+                want = chunked_enumeration(h, balance)
+                got = exact_min_cut_balanced(h, balance)
+                assert got.optimum_cut == want.optimum_cut
+                assert got.witness.side == want.witness.side
+
+    def test_planted_optima_at_the_size_limit(self):
+        n = MAX_ORACLE_CELLS
+        pairs = build([[2 * i, 2 * i + 1] for i in range(n // 2)], n)
+        cycle = build([[i, (i + 1) % n] for i in range(n)], n)
+        for balance in ("off_by_one", "exact_halves"):
+            res = exact_min_cut_balanced(pairs, balance)
+            assert res.optimum_cut == res.witness.cut_count == 0
+            assert res.witness.block_size == [n // 2, n // 2]
+            res = exact_min_cut_balanced(cycle, balance)
+            assert res.optimum_cut == res.witness.cut_count == 2
+            assert res.witness.block_size == [n // 2, n // 2]
+
+    def test_float32_only_while_counts_are_exact(self):
+        assert _count_dtype(0) is np.float32
+        assert _count_dtype((1 << 24) - 1) is np.float32
+        assert _count_dtype(1 << 24) is np.float64
 
     def test_deterministic(self, h_star):
         a = exact_min_cut_balanced(h_star, "off_by_one")
