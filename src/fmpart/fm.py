@@ -123,8 +123,28 @@ def best_prefix_index(initial_cut: int, initial_diff: int, steps: list[PassStep]
 
 
 def rollback_to_prefix(h: Hypergraph, p: Partition, steps: list[PassStep], keep: int) -> None:
-    """Undo every step after the kept prefix by re-flipping its cells."""
-    for st in reversed(steps[keep:]):
+    """Return p, which the steps moved from the pass's start, to its state
+    after the first keep steps.
+
+    When the steps moved every cell of h exactly once, p is the complement
+    of the pass's start. If the kept prefix is then shorter than the undone
+    tail, p flips back to the start in O(cells + nets) and replays the
+    prefix; a partition and its complement cut the same nets, so the cut
+    count needs no change. Otherwise the tail is undone step by step.
+    """
+    tail = steps[keep:]
+    if len(tail) > keep:
+        moved = [c for st in steps for c in st.cells]
+        if len(moved) == h.cell_count == len(set(moved)):
+            p.side[:] = [1 - s for s in p.side]
+            p.block_size.reverse()
+            for occ in p.net_occupancy:
+                occ.reverse()
+            for st in steps[:keep]:
+                for c in st.cells:
+                    apply_move(p, h, c)
+            return
+    for st in reversed(tail):
         for c in st.cells:
             apply_move(p, h, c)
 

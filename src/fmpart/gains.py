@@ -8,9 +8,9 @@ occupied index.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
-from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
+from .hypergraph import B1, B2, Hypergraph, Partition
 
 TIE_POLICIES = ("random", "fifo", "lifo")
 
@@ -83,23 +83,42 @@ class GainBucket:
         return slot
 
     def insert(self, cell: int, gain: int) -> None:
-        slot = gain + self.span
+        self.fill((cell,), (gain,))
+
+    def fill(self, cells: Sequence[int], gains: Iterable[int]) -> None:
+        """Insert cells[i] at gains[i] for each i in turn: at the head of its
+        slot's chain or at the end of its slot's bag."""
+        span = self.span
+        slot = self.slot
+        top = self.max_slot
         if self.chained:
             nxt = self.nxt
-            s = self.anchor + slot
-            head = nxt[s]
-            nxt[cell] = head
-            self.prv[cell] = s
-            self.prv[head] = cell
-            nxt[s] = cell
+            prv = self.prv
+            anchor = self.anchor
+            for c, g in zip(cells, gains):
+                k = g + span
+                s = anchor + k
+                head = nxt[s]
+                nxt[c] = head
+                prv[c] = s
+                prv[head] = c
+                nxt[s] = c
+                slot[c] = k
+                if k > top:
+                    top = k
         else:
-            bag = self.bags[slot]
-            self.bag_pos[cell] = len(bag)
-            bag.append(cell)
-        self.slot[cell] = slot
-        self.size += 1
-        if slot > self.max_slot:
-            self.max_slot = slot
+            bags = self.bags
+            bag_pos = self.bag_pos
+            for c, g in zip(cells, gains):
+                k = g + span
+                bag = bags[k]
+                bag_pos[c] = len(bag)
+                bag.append(c)
+                slot[c] = k
+                if k > top:
+                    top = k
+        self.size += len(cells)
+        self.max_slot = top
 
     def remove(self, cell: int) -> None:
         slot = self.slot[cell]
@@ -286,14 +305,34 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 
 def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> GainState:
     """Unlock every cell, compute all gains, and fill both buckets, built
-    for tie_policy (see GainBucket); every later selection reads it there."""
+    for tie_policy (see GainBucket); every later selection reads it there.
+
+    All gains come from one sweep over the nets, as `compute_gain` would give
+    them: an uncut net with two or more pins lowers each of its pins, and in
+    a cut net the lone pin of a side holding one pin gains one.
+    """
     span = h.max_cell_degree
     buckets = (GainBucket(h.cell_count, span, tie_policy), GainBucket(h.cell_count, span, tie_policy))
-    gain = [compute_gain(h, p, c) for c in range(h.cell_count)]
-    insert = (buckets[0].insert, buckets[1].insert)
+    gain = [0] * h.cell_count
     side = p.side
-    for c, g in enumerate(gain):
-        insert[side[c]](c, g)
+    for pins, (a, b) in zip(h.nets, p.net_occupancy):
+        if a and b:
+            if a == 1:
+                for x in pins:
+                    if side[x] == B1:
+                        gain[x] += 1
+                        break
+            if b == 1:
+                for x in pins:
+                    if side[x] == B2:
+                        gain[x] += 1
+                        break
+        elif a + b > 1:
+            for x in pins:
+                gain[x] -= 1
+    for blk in (B1, B2):
+        cells = [c for c in range(h.cell_count) if side[c] == blk]
+        buckets[blk].fill(cells, [gain[c] for c in cells])
     return GainState(gain, [False] * h.cell_count, buckets)
 
 
@@ -307,6 +346,11 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
     F-side pin. A T-count of 0 puts every pin on F, and an F-count of 0
     after the transfer puts every pin on T, so each update knows its bucket.
     Locked cells keep stale gains; selection never reads them.
+
+    The transfer is done here, as `apply_move` would do it: side and sizes
+    flip between the two loops, each net's counts move as the second loop
+    reaches it, and the cut falls by c's gain, which is exact because c was
+    unlocked until this call.
     """
     if state.locked[c]:
         raise ValueError(f"cell {c} is locked")
@@ -339,9 +383,16 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
                         gain[x] = g
                         relocate_t(x, g)
                     break
-    apply_move(p, h, c)
+    side[c] = t
+    sizes = p.block_size
+    sizes[f] -= 1
+    sizes[t] += 1
+    p.cut_count -= gain[c]
     for n in nets:
-        fc = occ_of[n][f]
+        occ = occ_of[n]
+        fc = occ[f] - 1
+        occ[f] = fc
+        occ[t] += 1
         if fc == 0:
             for x in pins_of[n]:
                 if not locked[x]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, close_pass, repeat_passes
 from .gains import GainBucket, GainState, init, move_and_update
-from .hypergraph import B1, B2, Hypergraph, Partition, build
+from .hypergraph import B1, B2, Hypergraph, Partition
 from .synth import random_balanced_sides
 
 
@@ -41,7 +41,8 @@ def pad_dummy(h: Hypergraph) -> PaddedHypergraph:
     """
     if h.cell_count % 2 == 0:
         return PaddedHypergraph(h, None)
-    padded = build(h.nets, h.cell_count + 1)
+    # nets, net count and maximum degree are those of h
+    padded = replace(h, cell_count=h.cell_count + 1, cell_nets=h.cell_nets + ((),))
     return PaddedHypergraph(padded, h.cell_count)
 
 

@@ -5,6 +5,7 @@ Randomized checks use fixed seeds so every run exercises the identical
 instance sample; the oracle side of each comparison is brute force only.
 """
 
+import gc
 import os
 import random
 import statistics
@@ -245,9 +246,15 @@ def test_criterion_09_scaling_trends():
     for rep in range(3):
         for n, h in graphs.items():
             p = random_initial_partition(h, random.Random(rep))
-            t0 = time.perf_counter()
-            fm_pass(h, p, cfg, random.Random(rep))
-            dt = time.perf_counter() - t0
+            # a cyclic collection triggered by objects earlier tests left
+            # alive would be timed along with the pass
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                fm_pass(h, p, cfg, random.Random(rep))
+                dt = time.perf_counter() - t0
+            finally:
+                gc.enable()
             times[n] = min(times.get(n, dt), dt)
     ratios = [times[2 * n] / times[n] for n in (5000, 10000)]
     time_ok = all(r <= 3.0 for r in ratios)

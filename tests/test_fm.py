@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fmpart.fm
 from conftest import balanced_partition
 from fmpart.fm import (
     FmConfig,
@@ -10,10 +11,12 @@ from fmpart.fm import (
     fm_pass,
     fm_run,
     random_initial_partition,
+    rollback_to_prefix,
 )
 from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 from fmpart.oracle import exact_min_cut_balanced
-from fmpart.synth import random_hypergraph
+from fmpart.pairwise import pad_dummy, variant_pass
+from fmpart.synth import random_balanced_sides, random_hypergraph
 
 
 class TestConfig:
@@ -132,6 +135,71 @@ class TestFmPass:
             p = balanced_partition(h, rng)
             fm_pass(h, p, FmConfig(seed=4), rng)
             assert abs(p.block_size[B1] - p.block_size[B2]) <= 1
+
+
+def flip_steps(p, h, steps):
+    for st in steps:
+        for c in st.cells:
+            apply_move(p, h, c)
+
+
+def cells_in(steps):
+    return sum(len(st.cells) for st in steps)
+
+
+class TestRollbackToPrefix:
+    """Complement-and-replay for full passes with a short kept prefix, tail
+    undo otherwise; each result must equal the kept prefix replayed from a
+    clone of the start."""
+
+    @staticmethod
+    def rolled_back(monkeypatch, h, start, steps, keep):
+        """Roll start moved by steps back to keep steps; the flips it took."""
+        p = start.clone()
+        flip_steps(p, h, steps)
+        flips = []
+
+        def counted(q, g, c):
+            flips.append(c)
+            apply_move(q, g, c)
+
+        with monkeypatch.context() as m:
+            m.setattr(fmpart.fm, "apply_move", counted)
+            rollback_to_prefix(h, p, steps, keep)
+        replay = start.clone()
+        flip_steps(replay, h, steps[:keep])
+        assert p == replay
+        return len(flips)
+
+    @pytest.mark.parametrize("kind", ["fm", "swap"])
+    def test_each_path_matches_prefix_replay(self, monkeypatch, kind):
+        rng = random.Random(31)
+        taken = set()
+        for _ in range(40):
+            n = rng.randint(1, 14)
+            g = random_hypergraph(rng, n, rng.randint(0, 2 * n), 1, 6)
+            if kind == "fm":
+                h = g
+                start = balanced_partition(h, rng)
+                steps = fm_pass(h, start.clone(), FmConfig(seed=5), rng).steps
+            else:
+                ph = pad_dummy(g)
+                h = ph.graph
+                start = Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+                steps = variant_pass(ph, start.clone(), FmConfig(seed=5), rng).steps
+            for keep in range(len(steps) + 1):
+                flips = self.rolled_back(monkeypatch, h, start, steps, keep)
+                if 2 * keep < len(steps):
+                    assert flips == cells_in(steps[:keep])
+                    taken.add(("complement", n % 2))
+                else:
+                    assert flips == cells_in(steps[keep:])
+                    taken.add(("undo", n % 2))
+            # a pass cut short leaves cells unmoved, so it is undone
+            for j in range(1, len(steps)):
+                assert self.rolled_back(monkeypatch, h, start, steps[:j], 0) == cells_in(steps[:j])
+                taken.add(("partial", n % 2))
+        assert taken == {(path, odd) for path in ("complement", "undo", "partial") for odd in (0, 1)}
 
 
 class TestBestPrefixIndex:

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+import fmpart.fm
+import fmpart.pairwise
 from conftest import C1, C2, C3, C4, C5, balanced_partition
+from fmpart.fm import FmConfig, fm_pass
 from fmpart.gains import TIE_POLICIES, GainBucket, audit, compute_gain, init, move_and_update, select_max
 from fmpart.hypergraph import B1, B2, Partition, build, cut_count
 from fmpart.oracle import delta_cut_move
-from fmpart.synth import random_hypergraph
+from fmpart.pairwise import pad_dummy, variant_pass
+from fmpart.synth import random_balanced_sides, random_hypergraph
 
 
 class TestComputeGain:
@@ -53,6 +57,27 @@ class TestInit:
             h = random_hypergraph(rng, n, rng.randint(0, 16), 1, 6)
             p = balanced_partition(h, rng)
             audit(init(h, p), h, p)
+
+
+    def test_one_sweep_equals_compute_gain_under_every_policy(self):
+        # empty, 1-pin and 2-pin nets among larger ones; every third start
+        # puts all cells on B1 and every third on B2, so every net lies on
+        # one side, and the small random starts leave many such nets too
+        rng = random.Random(17)
+        for trial in range(200):
+            n = rng.randint(1, 12)
+            nets = [[]] * rng.randint(0, 2) + [[rng.randrange(n)] for _ in range(rng.randint(0, 3))]
+            nets += [rng.sample(range(n), min(rng.randint(2, 6), n)) for _ in range(rng.randint(0, 14))]
+            rng.shuffle(nets)
+            h = build(nets, n)
+            kind = trial % 3
+            side = [kind] * n if kind < 2 else [rng.randint(0, 1) for _ in range(n)]
+            p = Partition.from_sides(h, side)
+            expected = [compute_gain(h, p, c) for c in range(n)]
+            for policy in TIE_POLICIES:
+                st = init(h, p, policy)
+                assert st.gain == expected
+                audit(st, h, p)
 
 
 class TestMoveAndUpdate:
@@ -211,3 +236,44 @@ class TestGainBucket:
                 two.iter_descending(random.Random(seed))
             )
             assert one.max_slot == two.max_slot
+
+
+class TestPartitionAfterEveryMove:
+    """`move_and_update` moves the pins itself; after each call p must equal
+    a partition rebuilt from its side vector."""
+
+    @staticmethod
+    def check_every_move(monkeypatch, module):
+        moved = []
+        original = module.move_and_update
+
+        def checked(state, h, p, c):
+            original(state, h, p, c)
+            assert p == Partition.from_sides(h, p.side)
+            moved.append(c)
+
+        monkeypatch.setattr(module, "move_and_update", checked)
+        return moved
+
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_fm_pass(self, monkeypatch, policy):
+        moved = self.check_every_move(monkeypatch, fmpart.fm)
+        rng = random.Random(18)
+        for _ in range(30):
+            n = rng.randint(1, 40)
+            h = random_hypergraph(rng, n, rng.randint(0, 2 * n), 1, 6)
+            moved.clear()
+            fm_pass(h, balanced_partition(h, rng), FmConfig(seed=2, tie_policy=policy), rng)
+            assert sorted(moved) == list(range(n))
+
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_swap_pass(self, monkeypatch, policy):
+        moved = self.check_every_move(monkeypatch, fmpart.pairwise)
+        rng = random.Random(19)
+        for _ in range(30):
+            ph = pad_dummy(random_hypergraph(rng, rng.randint(1, 40), rng.randint(0, 80), 1, 6))
+            h = ph.graph
+            p = Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+            moved.clear()
+            variant_pass(ph, p, FmConfig(seed=2, tie_policy=policy), rng)
+            assert sorted(moved) == list(range(h.cell_count))

@@ -53,6 +53,19 @@ class TestPadDummy:
         assert a.cut_count == b.cut_count == 1
 
 
+    def test_equals_a_rebuild_with_one_more_cell(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            n = 2 * rng.randint(0, 10) + 1
+            nets = [[], [rng.randrange(n)]]
+            nets += [rng.sample(range(n), min(rng.randint(2, 5), n)) for _ in range(rng.randint(0, 15))]
+            rng.shuffle(nets)
+            h = build(nets, n)
+            ph = pad_dummy(h)
+            assert ph.dummy == n
+            assert ph.graph == build(h.nets, n + 1)
+
+
 class TestCorrectTerm:
     def test_shared_triple_net(self, h_star, p_star):
         assert correct_term(h_star, p_star, C5, C1) == 1
