@@ -10,7 +10,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_DOWN
 from typing import Optional, Sequence
@@ -54,10 +53,33 @@ class ExperimentRow:
     gain_mu: Optional[float]
 
 
+@dataclass(frozen=True)
+class TaskFailure:
+    """One (file, algorithm, seed) task that raised instead of giving a row."""
+
+    label: str
+    algorithm: str
+    seed: int
+    error: str
+
+
 def _execute(task):
     label, algo, h, cfg = task
     runner = fm_run if algo == "fm" else variant_run
     return runner(h, cfg, label=label)
+
+
+def _attempt(task):
+    """_execute(task), or a TaskFailure naming the task and what it raised.
+
+    The error becomes text where it was raised, so a worker process never
+    has to send back an exception object that may not pickle.
+    """
+    try:
+        return _execute(task)
+    except Exception as exc:  # one failing task must not lose the others
+        label, algo, _h, cfg = task
+        return TaskFailure(label, algo, cfg.seed, f"{type(exc).__name__}: {exc}")
 
 
 def run_experiment(
@@ -66,12 +88,17 @@ def run_experiment(
     seeds: Sequence[int],
     cfg: FmConfig,
     jobs: int = 1,
+    failures: Optional[list[TaskFailure]] = None,
 ) -> tuple[list[RunResult], list[ExperimentRow]]:
     """Cross product of entries x algorithms x seeds with deterministic row order.
 
     entries are (label, hypergraph) pairs; algorithms use the row names
     "fm" and "fm_variant". The summary takes the best (minimum) optimal cut
     per algorithm across seeds for each entry.
+
+    Without a failures list, a task that raises ends the call with its
+    exception. With one, each such task is appended to it as a TaskFailure,
+    in row order, and the rows and summary hold the tasks that succeeded.
     """
     tasks = []
     for label, h in entries:
@@ -80,11 +107,21 @@ def run_experiment(
                 tasks.append(
                     (label, algo, h, FmConfig(seed=seed, tie_policy=cfg.tie_policy, max_passes=cfg.max_passes))
                 )
+    execute = _execute if failures is None else _attempt
     if jobs > 1 and len(tasks) > 1:
+        # imported here: a serial run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_execute, tasks))
+            outcomes = list(pool.map(execute, tasks))
     else:
-        rows = [_execute(t) for t in tasks]
+        outcomes = [execute(t) for t in tasks]
+    rows = []
+    for outcome in outcomes:
+        if isinstance(outcome, TaskFailure):
+            failures.append(outcome)
+        else:
+            rows.append(outcome)
     summary = []
     for label, _h in entries:
         best: dict[str, int] = {}
@@ -225,13 +262,19 @@ def _load_entries(paths, fmt):
     return entries, failed
 
 
+def _report_failures(failures: Sequence[TaskFailure]) -> None:
+    for f in failures:
+        print(f"error: {f.label} {f.algorithm} seed {f.seed}: {f.error}", file=sys.stderr)
+
+
 def _cmd_run(args, jobs: int) -> int:
     entries, failed = _load_entries(args.input, args.format)
     algorithms = {
         "fm": ["fm"], "variant": ["fm_variant"], "fm_variant": ["fm_variant"], "both": ["fm", "fm_variant"],
     }[args.algo]
     cfg = FmConfig(seed=1, tie_policy=args.tie, max_passes=args.max_passes)
-    rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs)
+    failures: list[TaskFailure] = []
+    rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs, failures=failures)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             write_rows_csv(rows, fh)
@@ -240,10 +283,11 @@ def _cmd_run(args, jobs: int) -> int:
     if args.summary:
         with open(args.summary, "w", newline="") as fh:
             write_summary_csv(summary, args.seeds, fh)
+    _report_failures(failures)
     if not entries:
         print("error: nothing to do, no readable inputs", file=sys.stderr)
         return 1
-    return 1 if failed else 0
+    return 1 if failed or failures else 0
 
 
 def _cmd_verify(args) -> int:
@@ -258,7 +302,12 @@ def _cmd_verify(args) -> int:
             continue
         optimum = exact_min_cut_balanced(h, "off_by_one").optimum_cut
         cfg = FmConfig(tie_policy=args.tie, max_passes=args.max_passes)
-        _rows, (best,) = run_experiment([(label, h)], ("fm", "fm_variant"), args.seeds, cfg)
+        failures: list[TaskFailure] = []
+        _rows, (best,) = run_experiment([(label, h)], ("fm", "fm_variant"), args.seeds, cfg, failures=failures)
+        if failures:
+            _report_failures(failures)
+            failed = True
+            continue
         match = "yes" if best.fm_best == optimum and best.variant_best == optimum else "no"
         print(f"{label}: fm={best.fm_best} variant={best.variant_best} oracle={optimum} match={match}")
     return 1 if failed else 0

@@ -7,10 +7,12 @@ the incremental bookkeeping it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hypergraph import Hypergraph, Partition, cut_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ORACLE_CELLS = 24
 
@@ -35,6 +37,8 @@ def _count_dtype(nets: int) -> type:
     number of nets, and float32 holds each integer below 2**24 exactly, in
     any summation order; beyond that float64 (exact below 2**53) is used.
     """
+    import numpy as np
+
     return np.float32 if nets < 1 << 24 else np.float64
 
 
@@ -46,6 +50,8 @@ def _indicators(bits: int, shift: int, masks: np.ndarray, targets: np.ndarray, d
     target. Rows are sorted by popcount, then by value, and the rows with
     popcount a are start[a]:start[a + 1].
     """
+    import numpy as np
+
     half = (1 << bits) - 1
     values = np.arange(1 << bits, dtype=np.int64)
     table = (values[:, None] & ((masks >> shift) & half)) == ((targets >> shift) & half)
@@ -82,6 +88,7 @@ def exact_min_cut_balanced(h: Hypergraph, balance: str = "off_by_one") -> Oracle
         raise ValueError("exact_halves needs an even cell count")
     if n == 0:
         return OracleResult(0, Partition.from_sides(h, []))
+    import numpy as np
 
     # cell i >= 1 occupies bit (n-1-i), set when it is on B2, and cell 0 is
     # pinned to B1, so ascending mask order is lexicographic order of the

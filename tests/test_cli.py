@@ -1,13 +1,16 @@
 import csv
 import io
+import multiprocessing
 import random
 import re
 
 import pytest
 
+from fmpart import cli
 from fmpart.cli import (
     ROW_FIELDS,
     SUMMARY_FIELDS,
+    TaskFailure,
     format_gain_mu,
     gain_mu,
     load_document,
@@ -17,7 +20,7 @@ from fmpart.cli import (
     write_summary_csv,
 )
 from fmpart.fm import FmConfig
-from fmpart.netlist_io import NetlistFormatError
+from fmpart.netlist_io import NetlistFormatError, parse_hgr
 from fmpart.synth import clustered_hypergraph
 
 FIVE_CELL_HGR = "3 5\n4 5\n3 5\n1 2 5\n"
@@ -35,6 +38,18 @@ def fixture_files(tmp_path):
 
 def normalize_elapsed(text: str) -> str:
     return re.sub(r"\d+\.\d{3}$", "ms", text, flags=re.MULTILINE)
+
+
+def fail_one_task(monkeypatch, label: str, algorithm: str, seed: int) -> None:
+    """Make the (label, algorithm, seed) task raise RuntimeError("injected")."""
+    real = cli._execute
+
+    def execute(task):
+        if task[:2] == (label, algorithm) and task[3].seed == seed:
+            raise RuntimeError("injected")
+        return real(task)
+
+    monkeypatch.setattr(cli, "_execute", execute)
 
 
 class TestGainMu:
@@ -115,6 +130,19 @@ class TestRunExperiment:
             (r.label, r.algorithm, r.seed, r.initial_cut, r.optimal_cut, r.passes) for r in rows
         ]
         assert strip(serial) == strip(parallel)
+
+    def test_failures_list_keeps_the_other_rows(self, monkeypatch):
+        h = parse_hgr(FIVE_CELL_HGR).to_hypergraph()
+        full, _ = run_experiment([("star", h)], ["fm", "fm_variant"], [1, 2], FmConfig())
+        fail_one_task(monkeypatch, "star", "fm_variant", 1)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_experiment([("star", h)], ["fm", "fm_variant"], [1, 2], FmConfig())
+        failures = []
+        rows, (best,) = run_experiment([("star", h)], ["fm", "fm_variant"], [1, 2], FmConfig(), failures=failures)
+        assert failures == [TaskFailure("star", "fm_variant", 1, "RuntimeError: injected")]
+        key = lambda r: (r.algorithm, r.seed, r.initial_cut, r.optimal_cut, r.passes)
+        assert [key(r) for r in rows] == [key(r) for r in full if (r.algorithm, r.seed) != ("fm_variant", 1)]
+        assert best.variant_best == next(r.optimal_cut for r in full if (r.algorithm, r.seed) == ("fm_variant", 2))
 
     def test_summary_recomputable_from_rows(self, fixture_files):
         star, _ = fixture_files
@@ -252,6 +280,37 @@ class TestCliMain:
             outputs.append((normalize_elapsed(rows.read_text()), summary.read_bytes()))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == 1 + 2 * 2 * 3
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patched _execute"
+    )
+    def test_failed_task_keeps_the_other_rows_serial_and_parallel(self, fixture_files, tmp_path, capsys, monkeypatch):
+        star, quad = fixture_files
+        argv = ["run", "--input", str(star), str(quad), "--algo", "both", "--seeds", "3"]
+        full = tmp_path / "full.csv"
+        assert main(argv + ["--csv", str(full)]) == 0
+        fail_one_task(monkeypatch, str(quad), "fm", 2)
+        outputs = []
+        for jobs in ("1", "2"):
+            rows, summary = tmp_path / f"rows{jobs}.csv", tmp_path / f"summary{jobs}.csv"
+            capsys.readouterr()
+            code = main(argv + ["--jobs", jobs, "--csv", str(rows), "--summary", str(summary)])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {quad} fm seed 2: RuntimeError: injected\n"
+            outputs.append((normalize_elapsed(rows.read_text()), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        kept = [ln for ln in normalize_elapsed(full.read_text()).splitlines() if not ln.startswith(f"{quad},fm,2,")]
+        assert outputs[0][0].splitlines() == kept
+        assert len(kept) == 1 + 2 * 2 * 3 - 1
+
+    def test_verify_reports_a_failed_task(self, fixture_files, capsys, monkeypatch):
+        star, quad = fixture_files
+        fail_one_task(monkeypatch, str(star), "fm", 1)
+        code = main(["verify", "--input", str(star), str(quad), "--seeds", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {star} fm seed 1: RuntimeError: injected\n"
+        assert captured.out.splitlines() == [f"{quad}: fm=0 variant=0 oracle=0 match=yes"]
 
     def test_tie_policy_changes_variant_rows(self, tmp_path):
         h = clustered_hypergraph(random.Random(5), 200, 260)
