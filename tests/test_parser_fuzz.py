@@ -2,15 +2,17 @@
 
 Inputs are well-formed .hgr and IBM .net/.netD files, written with LF, CRLF
 or CR line endings and stray whitespace, then mangled: lines replaced,
-dropped, repeated or inserted, and bytes spliced in, which are often not
+dropped, repeated or inserted, single fields changed (off by one, zero,
+negative, the wrong marker), and bytes spliced in, which are often not
 UTF-8. Nets range from empty to thousands of pins. Declared counts stay at
-most 10,000, because parse_hgr allocates one name per declared cell.
+most 10,001, because parse_hgr allocates one name per declared cell, so a
+header of a few bytes can ask for gigabytes.
 
 The profile is derandomized, so every run draws the same examples.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmpart.netlist_io import NetlistDocument, NetlistFormatError, parse_hgr, parse_ibm_net
@@ -106,15 +108,48 @@ tokens = st.one_of(
 junk_line = st.lists(tokens, max_size=4).map(" ".join)
 
 
+def near(field: str):
+    """Values a field could wrongly hold: off by one, zero, negative or,
+    for a marker, the other marker."""
+    if field.lstrip("-").isdecimal():
+        v = int(field)
+        return st.sampled_from((str(v - 1), str(v + 1), "0", "-1"))
+    return st.sampled_from(({"s": "l", "l": "s"}.get(field, "x"), "x", ""))
+
+
 @st.composite
-def mangled(draw, lines):
-    """`lines` joined by one line ending, after zero to three line edits and
-    an optional splice of raw bytes."""
+def field_edit(draw, lines):
+    """`lines` with one field replaced, dropped or inserted, half the time
+    among the first ten fields: the header and the first body line."""
+    at = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
+    if not at:
+        return lines
+    i, j = at[draw(st.one_of(st.integers(0, min(len(at), 10) - 1), st.integers(0, len(at) - 1)))]
+    fields = lines[i].split()
+    op = draw(st.sampled_from(("replace", "drop", "insert")))
+    if op == "drop":
+        del fields[j]
+    elif op == "insert":
+        fields.insert(j, draw(tokens))
+    else:
+        fields[j] = draw(st.one_of(near(fields[j]), tokens))
+    return lines[:i] + [" ".join(fields)] + lines[i + 1 :]
+
+
+@st.composite
+def mangled(draw, lines, recount):
+    """`lines` joined by one line ending, after one to three edits and an
+    optional splice of raw bytes. An edit replaces, drops, repeats or
+    inserts a line, or is a field_edit. `recount(lines)` rewrites the
+    header's line count to match the body; it is applied to half the
+    cases, so that edited body lines get past the count check."""
     lines = list(lines)
-    for _ in range(draw(st.integers(0, 3))):
-        op = draw(st.sampled_from(("replace", "delete", "repeat", "insert")))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("replace", "delete", "repeat", "insert", "field")))
         i = draw(st.integers(0, len(lines)))
-        if op == "insert":
+        if op == "field":
+            lines = draw(field_edit(lines))
+        elif op == "insert":
             lines.insert(i, draw(junk_line))
         elif i < len(lines):
             if op == "replace":
@@ -123,12 +158,18 @@ def mangled(draw, lines):
                 del lines[i]
             else:
                 lines.insert(i, lines[i])
+    if draw(st.booleans()):
+        lines = recount(lines)
     eol = draw(st.sampled_from(EOLS))
     data = (eol.join(lines) + draw(st.sampled_from(("", eol)))).encode("utf-8")
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + bytes(draw(SPLICE_BYTES)) + data[at:]
     return data
+
+
+def body_lines(lines, start):
+    return sum(1 for ln in lines[start:] if ln.strip())
 
 
 @FUZZ
@@ -153,15 +194,32 @@ def test_well_formed_ibm_reads_back(case, eol):
 @FUZZ
 @given(st.data())
 def test_mangled_hgr_parses_or_raises_format_error(data):
-    lines, _nets, _n = data.draw(hgr_lines())
-    parses_or_rejects(parse_hgr, data.draw(mangled(lines)))
+    lines, _nets, n = data.draw(hgr_lines())
+    recount = lambda ls: [f"{body_lines(ls, 1)} {n}"] + ls[1:]
+    parses_or_rejects(parse_hgr, data.draw(mangled(lines, recount)))
 
 
 @FUZZ
 @given(st.data())
 def test_mangled_ibm_parses_or_raises_format_error(data):
     dialect, lines, _nets = data.draw(ibm_lines())
-    parses_or_rejects(lambda b: parse_ibm_net(b, dialect=dialect), data.draw(mangled(lines)))
+    recount = lambda ls: ls[:1] + [str(body_lines(ls, 5))] + ls[2:]
+    parses_or_rejects(lambda b: parse_ibm_net(b, dialect=dialect), data.draw(mangled(lines, recount)))
+
+
+@FUZZ
+@given(hgr_lines(empty=False).flatmap(lambda case: field_edit(case[0])))
+@example(["0 -1"])
+@example(["1 2", "0 1"])
+def test_one_bad_hgr_field_parses_or_raises_format_error(lines):
+    parses_or_rejects(parse_hgr, "\n".join(lines).encode("utf-8"))
+
+
+@FUZZ
+@given(ibm_lines().flatmap(lambda case: st.tuples(st.just(case[0]), field_edit(case[1]))))
+def test_one_bad_ibm_field_parses_or_raises_format_error(case):
+    dialect, lines = case
+    parses_or_rejects(lambda b: parse_ibm_net(b, dialect=dialect), "\n".join(lines).encode("utf-8"))
 
 
 @FUZZ
