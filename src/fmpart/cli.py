@@ -10,7 +10,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_DOWN
 from typing import Optional, Sequence
 
@@ -94,19 +94,19 @@ def run_experiment(
 
     entries are (label, hypergraph) pairs; algorithms use the row names
     "fm" and "fm_variant". The summary takes the best (minimum) optimal cut
-    per algorithm across seeds for each entry.
+    per algorithm across seeds for each entry. Each task runs cfg with its
+    own seed in place of cfg.seed.
 
     Without a failures list, a task that raises ends the call with its
     exception. With one, each such task is appended to it as a TaskFailure,
     in row order, and the rows and summary hold the tasks that succeeded.
     """
-    tasks = []
-    for label, h in entries:
-        for algo in algorithms:
-            for seed in seeds:
-                tasks.append(
-                    (label, algo, h, FmConfig(seed=seed, tie_policy=cfg.tie_policy, max_passes=cfg.max_passes))
-                )
+    tasks = [
+        (label, algo, h, replace(cfg, seed=seed))
+        for label, h in entries
+        for algo in algorithms
+        for seed in seeds
+    ]
     execute = _execute if failures is None else _attempt
     if jobs > 1 and len(tasks) > 1:
         # imported here: a serial run never loads the process pool
@@ -295,13 +295,13 @@ def _cmd_verify(args) -> int:
     if not entries:
         print("error: nothing to do, no readable inputs", file=sys.stderr)
         return 1
+    cfg = FmConfig(tie_policy=args.tie, max_passes=args.max_passes)
     for label, h in entries:
         if h.cell_count > MAX_ORACLE_CELLS:
             print(f"error: {label}: too large for the oracle ({h.cell_count} cells)", file=sys.stderr)
             failed = True
             continue
         optimum = exact_min_cut_balanced(h, "off_by_one").optimum_cut
-        cfg = FmConfig(tie_policy=args.tie, max_passes=args.max_passes)
         failures: list[TaskFailure] = []
         _rows, (best,) = run_experiment([(label, h)], ("fm", "fm_variant"), args.seeds, cfg, failures=failures)
         if failures:

@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .gains import GainState, TIE_POLICIES, init, move_and_update, select_max
+from .gains import TIE_POLICIES, Buckets, init, move_and_update, select_max
 from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
 from .synth import random_balanced_sides
 
-StepHook = Callable[[GainState, Partition, list], None]
+StepHook = Callable[[Buckets, Partition, list], None]
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class FmConfig:
 class PassStep(NamedTuple):
     cells: tuple[int, ...]
     gain: int
-    cum_gain: int
     cut_after: int
     size_diff: int
 
@@ -85,13 +84,13 @@ def random_initial_partition(h: Hypergraph, rng: random.Random) -> Partition:
     return Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
 
 
-def _source_block(state: GainState, p: Partition) -> Optional[int]:
+def _source_block(buckets: Buckets, p: Partition) -> Optional[int]:
     """Pick the block to move from: B1 when its max gain and size both
     dominate, else B2 when it is at least as large, else B1.
 
     Both buckets share one gain span, so their max slots compare as their
     max gains do; an empty bucket's max slot is -1."""
-    b1, b2 = state.buckets
+    b1, b2 = buckets
     m1 = b1.max_slot
     m2 = b2.max_slot
     if m1 < 0:
@@ -188,24 +187,20 @@ def fm_pass(
     On return p sits at the minimum-cut balanced configuration seen during
     the pass (or where it started, when nothing better appeared).
     """
-    state = init(h, p, cfg.tie_policy)
-    gain = state.gain
+    buckets = init(h, p, cfg.tie_policy)
     sizes = p.block_size
     initial_cut = p.cut_count
     initial_diff = sizes[B1] - sizes[B2]
     steps: list[PassStep] = []
-    cum = 0
     while True:
-        blk = _source_block(state, p)
+        blk = _source_block(buckets, p)
         if blk is None:
             break
-        c = select_max(state, blk, rng)
-        g = gain[c]
-        move_and_update(state, h, p, c)
-        cum += g
-        steps.append(PassStep((c,), g, cum, p.cut_count, sizes[B1] - sizes[B2]))
+        c = select_max(buckets, blk, rng)
+        g = move_and_update(buckets, h, p, c)
+        steps.append(PassStep((c,), g, p.cut_count, sizes[B1] - sizes[B2]))
         if on_step is not None:
-            on_step(state, p, steps)
+            on_step(buckets, p, steps)
     return close_pass(h, p, initial_cut, initial_diff, steps)
 
 

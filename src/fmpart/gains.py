@@ -2,13 +2,15 @@
 
 Gains live in [-P, +P] where P is the maximum cell degree, so each block
 keeps an array of cell slots indexed by gain plus a pointer to the highest
-occupied index.
+occupied index. A pass's whole state is the two buckets: a cell's slot in
+the bucket of its block is the only record of its gain, and a cell is
+locked exactly when no bucket holds it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import B1, B2, Hypergraph, Partition
 
@@ -191,8 +193,8 @@ class GainBucket:
     def max_gain(self) -> Optional[int]:
         return None if self.max_slot == _NONE else self.max_slot - self.span
 
-    def iter_descending(self, rng: Optional[random.Random] = None):
-        """All cells, highest gain slot first, produced on demand.
+    def iter_descending(self, rng: Optional[random.Random] = None) -> Iterator[tuple[int, int]]:
+        """All (cell, gain) pairs, highest gain slot first, produced on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
         the one `select` would pick: lifo walks the chain from the head,
@@ -202,10 +204,12 @@ class GainBucket:
         """
         if self.chained:
             link = self.prv if self.policy == "fifo" else self.nxt
+            base = self.anchor + self.span
             for end in range(self.anchor + self.max_slot, self.anchor - 1, -1):
+                g = end - base
                 c = link[end]
                 while c != end:
-                    yield c
+                    yield c, g
                     c = link[c]
             return
         if rng is None:
@@ -216,9 +220,10 @@ class GainBucket:
             n = len(bag)
             if not n:
                 continue
+            g = slot - self.span
             k = rng.randrange(n)
             for i in range(k, k + n):
-                yield bag[i - n if i >= n else i]
+                yield bag[i - n if i >= n else i], g
 
     def select(self, rng: Optional[random.Random] = None) -> Optional[int]:
         """One cell from the max slot in tie-policy order, or None when the
@@ -273,15 +278,7 @@ class GainBucket:
             raise AssertionError("max pointer is not the highest nonempty slot")
 
 
-class GainState:
-    """Per-cell gains, lock flags, and one bucket per block for unlocked cells."""
-
-    __slots__ = ("gain", "locked", "buckets")
-
-    def __init__(self, gain: list[int], locked: list[bool], buckets: tuple[GainBucket, GainBucket]):
-        self.gain = gain
-        self.locked = locked
-        self.buckets = buckets
+Buckets = tuple[GainBucket, GainBucket]
 
 
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
@@ -303,9 +300,9 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     return g
 
 
-def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> GainState:
-    """Unlock every cell, compute all gains, and fill both buckets, built
-    for tie_policy (see GainBucket); every later selection reads it there.
+def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> Buckets:
+    """Compute all gains and file every cell in the bucket of its block,
+    both built for tie_policy (see GainBucket); the pair is the pass state.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -333,36 +330,41 @@ def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> GainState:
     for blk in (B1, B2):
         cells = [c for c in range(h.cell_count) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
-    return GainState(gain, [False] * h.cell_count, buckets)
+    return buckets
 
 
-def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> None:
-    """Lock c, move it, and adjust unlocked neighbor gains in place.
+def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
+    """Lock c, move it, adjust unlocked neighbor gains in place, and return
+    c's gain.
 
     For each net of c, with F the departing block and T the receiving one:
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
     T-count of 1 lowers the lone T-side pin; after the transfer, an F-count
     of 0 lowers every unlocked pin and an F-count of 1 raises the lone
     F-side pin. A T-count of 0 puts every pin on F, and an F-count of 0
-    after the transfer puts every pin on T, so each update knows its bucket.
-    Locked cells keep stale gains; selection never reads them.
+    after the transfer puts every pin on T, so each update knows its bucket,
+    and a pin is unlocked exactly when that bucket files it.
 
     The transfer is done here, as `apply_move` would do it: side and sizes
     flip between the two loops, each net's counts move as the second loop
     reaches it, and the cut falls by c's gain, which is exact because c was
     unlocked until this call.
     """
-    if state.locked[c]:
-        raise ValueError(f"cell {c} is locked")
-    gain = state.gain
-    locked = state.locked
-    buckets = state.buckets
     side = p.side
     f = side[c]
     t = 1 - f
-    locked[c] = True
-    buckets[f].remove(c)
-    relocate_f = buckets[f].relocate
+    bucket_f = buckets[f]
+    slot_f = bucket_f.slot
+    slot_t = buckets[t].slot
+    if slot_f[c] == _NONE:
+        raise ValueError(f"cell {c} is locked")
+    span = bucket_f.span
+    gain = slot_f[c] - span
+    bucket_f.remove(c)
+    # slot k files gain k - span, and an unfiled cell's slot is -1
+    up = 1 - span
+    down = -1 - span
+    relocate_f = bucket_f.relocate
     relocate_t = buckets[t].relocate
     nets = h.cell_nets[c]
     pins_of = h.nets
@@ -371,23 +373,21 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
         tc = occ_of[n][t]
         if tc == 0:
             for x in pins_of[n]:
-                if not locked[x]:
-                    g = gain[x] + 1
-                    gain[x] = g
-                    relocate_f(x, g)
+                k = slot_f[x]
+                if k >= 0:
+                    relocate_f(x, k + up)
         elif tc == 1:
             for x in pins_of[n]:
                 if side[x] == t:
-                    if not locked[x]:
-                        g = gain[x] - 1
-                        gain[x] = g
-                        relocate_t(x, g)
+                    k = slot_t[x]
+                    if k >= 0:
+                        relocate_t(x, k + down)
                     break
     side[c] = t
     sizes = p.block_size
     sizes[f] -= 1
     sizes[t] += 1
-    p.cut_count -= gain[c]
+    p.cut_count -= gain
     for n in nets:
         occ = occ_of[n]
         fc = occ[f] - 1
@@ -395,47 +395,42 @@ def move_and_update(state: GainState, h: Hypergraph, p: Partition, c: int) -> No
         occ[t] += 1
         if fc == 0:
             for x in pins_of[n]:
-                if not locked[x]:
-                    g = gain[x] - 1
-                    gain[x] = g
-                    relocate_t(x, g)
+                k = slot_t[x]
+                if k >= 0:
+                    relocate_t(x, k + down)
         elif fc == 1:
             for x in pins_of[n]:
                 if side[x] == f:
-                    if not locked[x]:
-                        g = gain[x] + 1
-                        gain[x] = g
-                        relocate_f(x, g)
+                    k = slot_f[x]
+                    if k >= 0:
+                        relocate_f(x, k + up)
                     break
+    return gain
 
 
-def select_max(state: GainState, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
+def select_max(buckets: Buckets, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
     """An unlocked cell at the block's max gain index, picked by the tie
-    policy of the state, or None if none remain."""
-    return state.buckets[block].select(rng)
+    policy of the buckets, or None if none remain."""
+    return buckets[block].select(rng)
 
 
-def audit(state: GainState, h: Hypergraph, p: Partition) -> None:
-    """Cross-check stored gains and bucket structure against first principles."""
-    span = h.max_cell_degree
-    for b in (B1, B2):
-        state.buckets[b].audit()
+def audit(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
+    """Cross-check bucket structure and filed gains against first principles.
+
+    A cell no bucket holds is locked and has no gain to check; every other
+    cell sits in the bucket of its block, at the slot of its exact gain."""
+    for bucket in buckets:
+        bucket.audit()
     for c in range(h.cell_count):
-        in1 = c in state.buckets[B1]
-        in2 = c in state.buckets[B2]
-        if state.locked[c]:
-            if in1 or in2:
-                raise AssertionError(f"locked cell {c} still bucketed")
+        in1 = c in buckets[B1]
+        in2 = c in buckets[B2]
+        if in1 and in2:
+            raise AssertionError(f"cell {c} sits in both buckets")
+        if not (in1 or in2):
             continue
-        if in1 == in2:
-            raise AssertionError(f"cell {c} must sit in exactly one bucket")
-        b = B1 if in1 else B2
-        if b != p.side[c]:
+        bucket = buckets[p.side[c]]
+        if c not in bucket:
             raise AssertionError(f"cell {c} bucketed under the wrong block")
-        g = state.gain[c]
-        if abs(g) > span:
-            raise AssertionError(f"cell {c}: gain {g} exceeds degree bound {span}")
+        g = bucket.slot[c] - bucket.span
         if g != compute_gain(h, p, c):
-            raise AssertionError(f"cell {c}: stored gain {g} is stale")
-        if state.buckets[b].slot[c] != g + span:
-            raise AssertionError(f"cell {c} filed under the wrong gain index")
+            raise AssertionError(f"cell {c}: filed gain {g} is stale")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, close_pass, repeat_passes
-from .gains import GainBucket, GainState, init, move_and_update
+from .gains import Buckets, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition
 from .synth import random_balanced_sides
 
@@ -86,23 +86,23 @@ class PairSelectionState:
     its heap asks.
     """
 
-    buckets: tuple[GainBucket, GainBucket]
+    buckets: Buckets
     pair_gain_evals: int = 0
 
 
-def selection_state(state: GainState) -> PairSelectionState:
+def selection_state(buckets: Buckets) -> PairSelectionState:
     """Set up a pair search over the current buckets; constant time."""
-    return PairSelectionState(state.buckets)
+    return PairSelectionState(buckets)
 
 
-def _reach(cells: list[int], order: Iterator[int], k: int) -> bool:
-    """Whether cells[k] exists, drawing one more cell from order when k is next."""
+def _reach(cells: list[tuple[int, int]], order: Iterator[tuple[int, int]], k: int) -> bool:
+    """Whether cells[k] exists, drawing one more (cell, gain) from order when k is next."""
     if k < len(cells):
         return True
-    c = next(order, None)
-    if c is None:
+    entry = next(order, None)
+    if entry is None:
         return False
-    cells.append(c)
+    cells.append(entry)
     return True
 
 
@@ -110,19 +110,20 @@ def best_pair(
     state: PairSelectionState,
     h: Hypergraph,
     p: Partition,
-    gains: Sequence[int],
     rng: random.Random,
 ) -> tuple[int, int, int]:
     """Cross-block pair with the highest exact swap gain, as (u, v, gain).
 
     Candidates come off a max-heap keyed by the bound gains[u] + gains[v],
-    which dominates the exact pair gain because the correction term is
-    nonnegative. Each pair (i, j) of the two gain orders enters the heap
-    once, from (i, j - 1), or from (i - 1, 0) when j is 0, so bounds come
-    off in nonincreasing order. The search stops once the next bound is no
-    higher than the best exact gain seen (Kernighan & Lin's sorted-list
-    scan) and returns the first exact maximizer met: ties break by bucket
-    order under the tie policy, with rng drawn only by the random policy.
+    with both gains read from the buckets. The bound dominates the exact
+    pair gain, which is the bound less the nonnegative correction term, as
+    `pair_gain` computes it. Each pair (i, j) of the two gain orders enters
+    the heap once, from (i, j - 1), or from (i - 1, 0) when j is 0, so
+    bounds come off in nonincreasing order. The search stops once the next
+    bound is no higher than the best exact gain seen (Kernighan & Lin's
+    sorted-list scan) and returns the first exact maximizer met: ties break
+    by bucket order under the tie policy, with rng drawn only by the random
+    policy.
     """
     b1, b2 = state.buckets
     if not b1.size or not b2.size:
@@ -132,20 +133,21 @@ def best_pair(
     us = [next(order_u)]
     vs = [next(order_v)]
     best: Optional[tuple[int, int, int]] = None
-    heap = [(-(gains[us[0]] + gains[vs[0]]), 0, 0)]
+    heap = [(-(us[0][1] + vs[0][1]), 0, 0)]
     while heap:
         negb, i, j = heapq.heappop(heap)
         if best is not None and -negb <= best[2]:
             break
-        u, v = us[i], vs[j]
-        g = pair_gain(h, p, gains, u, v)
+        u, gu = us[i]
+        v, gv = vs[j]
+        g = -negb - correct_term(h, p, u, v)
         state.pair_gain_evals += 1
         if best is None or g > best[2]:
             best = (u, v, g)
         if _reach(vs, order_v, j + 1):
-            heapq.heappush(heap, (-(gains[u] + gains[vs[j + 1]]), i, j + 1))
+            heapq.heappush(heap, (-(gu + vs[j + 1][1]), i, j + 1))
         if j == 0 and _reach(us, order_u, i + 1):
-            heapq.heappush(heap, (-(gains[us[i + 1]] + gains[v]), i + 1, 0))
+            heapq.heappush(heap, (-(us[i + 1][1] + gv), i + 1, 0))
     return best
 
 
@@ -167,21 +169,19 @@ def variant_pass(
     m = ph.half_size
     if p.block_size[B1] != m or p.block_size[B2] != m:
         raise ValueError("pairwise pass needs equal block sizes")
-    state = init(h, p, cfg.tie_policy)
+    buckets = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count
     steps: list[PassStep] = []
-    cum = 0
     evals = 0
     for _ in range(m):
-        sel = selection_state(state)
-        u, v, g = best_pair(sel, h, p, state.gain, rng)
+        sel = selection_state(buckets)
+        u, v, g = best_pair(sel, h, p, rng)
         evals += sel.pair_gain_evals
-        move_and_update(state, h, p, u)
-        move_and_update(state, h, p, v)
-        cum += g
-        steps.append(PassStep((u, v), g, cum, p.cut_count, p.block_size[B1] - p.block_size[B2]))
+        move_and_update(buckets, h, p, u)
+        move_and_update(buckets, h, p, v)
+        steps.append(PassStep((u, v), g, p.cut_count, p.block_size[B1] - p.block_size[B2]))
         if on_step is not None:
-            on_step(state, p, steps)
+            on_step(buckets, p, steps)
     return close_pass(h, p, initial_cut, 0, steps, evals)
 
 

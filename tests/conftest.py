@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fmpart.hypergraph import Partition, build
+from fmpart.hypergraph import B1, Partition, build
 from fmpart.synth import random_balanced_sides
 
 # the five-cell three-net fixture used throughout: c1..c5 are ids 0..4,
@@ -50,3 +50,13 @@ def hypergraph_with_partition(draw, **kwargs):
 
 def balanced_partition(h, rng: random.Random) -> Partition:
     return Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+
+
+def bucket_gains(buckets) -> list:
+    """Each cell's gain as the pass buckets file it, or None for a locked
+    cell, which no bucket holds."""
+    gains = [None] * len(buckets[B1].slot)
+    for bucket in buckets:
+        for c, g in bucket.iter_descending(random.Random(0)):
+            gains[c] = g
+    return gains

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import balanced_partition
+from conftest import balanced_partition, bucket_gains
 from fmpart.cli import format_gain_mu, gain_mu, load_document
 from fmpart.fm import FmConfig, fm_pass, fm_run, random_initial_partition
 from fmpart.gains import audit, compute_gain, init
@@ -77,7 +77,10 @@ def test_criterion_03_incremental_updates_audited_every_move():
 
         def on_step(state, p, steps):
             nonlocal moves
-            audit(state, h, p)  # stored gains vs from-scratch + bucket structure
+            audit(state, h, p)  # filed gains vs from-scratch + bucket structure
+            moved = sum(len(st.cells) for st in steps)
+            assert all(c not in state[B1] and c not in state[B2] for c in steps[-1].cells)
+            assert state[B1].size + state[B2].size == len(p.side) - moved
             moves += 1
 
         runner(h, FmConfig(seed=5), on_step=on_step)
@@ -103,10 +106,11 @@ def test_criterion_04_best_pair_matches_exhaustive_enumeration():
         p = Partition.from_sides(h, side)
         state = init(h, p)
         sel = selection_state(state)
-        u, v, _ = best_pair(sel, h, p, state.gain, rng)
-        got = pair_gain(h, p, state.gain, u, v)
+        u, v, _ = best_pair(sel, h, p, rng)
+        gains = bucket_gains(state)
+        got = pair_gain(h, p, gains, u, v)
         exhaustive = max(
-            pair_gain(h, p, state.gain, a, b)
+            pair_gain(h, p, gains, a, b)
             for a in range(n) for b in range(n)
             if p.side[a] == B1 and p.side[b] == B2
         )
@@ -276,7 +280,7 @@ def test_criterion_09_scaling_trends():
             p = Partition.from_sides(ph.graph, side)
             state = init(ph.graph, p)
             sel = selection_state(state)
-            best_pair(sel, ph.graph, p, state.gain, rng)
+            best_pair(sel, ph.graph, p, rng)
             total += sel.pair_gain_evals
             bound_ok &= sel.pair_gain_evals <= max(h.max_cell_degree, 1) ** 2
             bound_ok &= sel.pair_gain_evals <= ph.half_size ** 2

@@ -14,7 +14,7 @@ def test_exported_names_resolve():
 
 def test_pass_internals_stay_in_their_modules():
     internals = {
-        "GainBucket", "GainState", "select_max", "init", "move_and_update", "compute_gain",
+        "GainBucket", "select_max", "init", "move_and_update", "compute_gain",
         "PairSelectionState", "selection_state", "best_pair", "correct_term", "pair_gain",
     }
     assert not internals & set(fmpart.__all__)

@@ -19,8 +19,9 @@ from fmpart.cli import (
     write_rows_csv,
     write_summary_csv,
 )
-from fmpart.fm import FmConfig
+from fmpart.fm import FmConfig, fm_run
 from fmpart.netlist_io import NetlistFormatError, parse_hgr
+from fmpart.pairwise import variant_run
 from fmpart.synth import clustered_hypergraph
 
 FIVE_CELL_HGR = "3 5\n4 5\n3 5\n1 2 5\n"
@@ -130,6 +131,25 @@ class TestRunExperiment:
             (r.label, r.algorithm, r.seed, r.initial_cut, r.optimal_cut, r.passes) for r in rows
         ]
         assert strip(serial) == strip(parallel)
+
+    def test_rows_equal_direct_runs_under_a_non_default_config(self):
+        # every FmConfig field but the seed must reach each task
+        h = clustered_hypergraph(random.Random(6), 121, 150)
+        cfg = FmConfig(tie_policy="fifo", max_passes=2)
+        rows, _ = run_experiment([("c121", h)], ["fm", "fm_variant"], [1, 2, 3], cfg)
+        key = lambda r: (r.label, r.algorithm, r.seed, r.initial_cut, r.optimal_cut, r.passes, r.final_side)
+
+        def direct(**knobs):
+            return [
+                key(runner(h, FmConfig(seed=seed, **knobs), label="c121"))
+                for runner in (fm_run, variant_run)
+                for seed in (1, 2, 3)
+            ]
+
+        assert [key(r) for r in rows] == direct(tie_policy="fifo", max_passes=2)
+        # both knobs bind on this instance, so a dropped field would show
+        assert [key(r) for r in rows] != direct(max_passes=2)
+        assert [key(r) for r in rows] != direct(tie_policy="fifo")
 
     def test_failures_list_keeps_the_other_rows(self, monkeypatch):
         h = parse_hgr(FIVE_CELL_HGR).to_hypergraph()

@@ -97,7 +97,6 @@ class TestFmPass:
             n = rng.randint(1, 12)
             h = random_hypergraph(rng, n, rng.randint(0, 18), 1, 6)
             p = balanced_partition(h, rng)
-            initial = p.cut_count
             start = p.clone()
             trace = fm_pass(h, p, FmConfig(seed=1), rng)
             # every cell moved exactly once
@@ -105,7 +104,7 @@ class TestFmPass:
             assert sorted(c for st in trace.steps for c in st.cells) == list(range(n))
             q = start.clone()
             for st in trace.steps:
-                assert st.cum_gain == initial - st.cut_after
+                assert st.gain == q.cut_count - st.cut_after
                 for c in st.cells:
                     apply_move(q, h, c)
                 assert q.cut_count == st.cut_after
@@ -211,8 +210,8 @@ class TestBestPrefixIndex:
         from fmpart.fm import PassStep
 
         steps = [
-            PassStep((0,), 2, 2, 3, 2),   # better cut but unbalanced
-            PassStep((1,), -1, 1, 4, 1),
+            PassStep((0,), 2, 3, 2),   # better cut but unbalanced
+            PassStep((1,), -1, 4, 1),
         ]
         assert best_prefix_index(5, 1, steps) == 2
 
@@ -220,16 +219,16 @@ class TestBestPrefixIndex:
         from fmpart.fm import PassStep
 
         steps = [
-            PassStep((0,), 0, 0, 5, 1),
-            PassStep((1,), 0, 0, 5, 0),
+            PassStep((0,), 0, 5, 1),
+            PassStep((1,), 0, 5, 0),
         ]
         assert best_prefix_index(5, 0, steps) == 0
 
     def test_steps_are_immutable(self):
         from fmpart.fm import PassStep
 
-        step = PassStep((0,), 1, 1, 4, 1)
-        assert (step.cells, step.gain, step.cum_gain, step.cut_after, step.size_diff) == ((0,), 1, 1, 4, 1)
+        step = PassStep((0,), 1, 4, 1)
+        assert (step.cells, step.gain, step.cut_after, step.size_diff) == ((0,), 1, 4, 1)
         with pytest.raises(AttributeError):
             step.cut_after = 3
 

@@ -4,7 +4,7 @@ import pytest
 
 import fmpart.fm
 import fmpart.pairwise
-from conftest import C1, C2, C3, C4, C5, balanced_partition
+from conftest import C1, C2, C3, C4, C5, balanced_partition, bucket_gains
 from fmpart.fm import FmConfig, fm_pass
 from fmpart.gains import TIE_POLICIES, GainBucket, audit, compute_gain, init, move_and_update, select_max
 from fmpart.hypergraph import B1, B2, Partition, build, cut_count
@@ -37,18 +37,17 @@ class TestComputeGain:
 class TestInit:
     def test_fixture_state(self, h_star, p_star):
         st = init(h_star, p_star)
-        assert st.gain == [0, 0, -1, -1, -1]
-        assert st.buckets[B1].max_gain() == -1
-        assert st.buckets[B2].max_gain() == 0
-        assert not any(st.locked)
+        assert bucket_gains(st) == [0, 0, -1, -1, -1]  # no cell locked
+        assert st[B1].max_gain() == -1
+        assert st[B2].max_gain() == 0
         audit(st, h_star, p_star)
 
     def test_empty_hypergraph(self):
         h = build([], 0)
         p = Partition.from_sides(h, [])
         st = init(h, p)
-        assert st.buckets[B1].max_gain() is None
-        assert st.buckets[B2].max_gain() is None
+        assert st[B1].max_gain() is None
+        assert st[B2].max_gain() is None
 
     def test_random_instances_audit_clean(self):
         rng = random.Random(14)
@@ -76,27 +75,29 @@ class TestInit:
             expected = [compute_gain(h, p, c) for c in range(n)]
             for policy in TIE_POLICIES:
                 st = init(h, p, policy)
-                assert st.gain == expected
+                assert bucket_gains(st) == expected
                 audit(st, h, p)
 
 
 class TestMoveAndUpdate:
     def test_neighbor_gains_after_hub_move(self, h_star, p_star):
         st = init(h_star, p_star)
-        move_and_update(st, h_star, p_star, C5)
-        assert st.gain[C4] == 1  # its pair net became cut with c4 alone on B1
-        assert st.gain[C3] == 1
-        assert st.locked[C5]
-        assert C5 not in st.buckets[B1] and C5 not in st.buckets[B2]
+        assert move_and_update(st, h_star, p_star, C5) == -1
+        gains = bucket_gains(st)
+        assert gains[C4] == 1  # its pair net became cut with c4 alone on B1
+        assert gains[C3] == 1
+        assert gains[C5] is None  # locked: in neither bucket
+        assert C5 not in st[B1] and C5 not in st[B2]
+        assert st[B1].size + st[B2].size == 4
         audit(st, h_star, p_star)
 
     def test_isolated_move_changes_no_neighbor(self):
         h = build([[0, 1]], 3)
         p = Partition.from_sides(h, [0, 1, 0])
         st = init(h, p)
-        before = list(st.gain[:2])
-        move_and_update(st, h, p, 2)
-        assert st.gain[:2] == before
+        before = bucket_gains(st)[:2]
+        assert move_and_update(st, h, p, 2) == 0
+        assert bucket_gains(st) == before + [None]
         audit(st, h, p)
 
     def test_locked_move_rejected(self, h_star, p_star):
@@ -114,9 +115,12 @@ class TestMoveAndUpdate:
             st = init(h, p)
             order = list(range(n))
             rng.shuffle(order)
-            for c in order:
-                move_and_update(st, h, p, c)
-                audit(st, h, p)  # also checks stored gains == from-scratch
+            for moves, c in enumerate(order, start=1):
+                expected = compute_gain(h, p, c)
+                assert move_and_update(st, h, p, c) == expected
+                audit(st, h, p)  # also checks filed gains == from-scratch
+                assert c not in st[B1] and c not in st[B2]
+                assert st[B1].size + st[B2].size == n - moves
                 assert p.cut_count == cut_count(h, p.side)
 
     def test_gain_bound_holds_throughout(self):
@@ -127,14 +131,12 @@ class TestMoveAndUpdate:
             p = balanced_partition(h, rng)
             st = init(h, p)
             bound = h.max_cell_degree
-            assert all(abs(g) <= bound for g in st.gain)
+            assert all(abs(g) <= bound for g in bucket_gains(st))
             order = list(range(n))
             rng.shuffle(order)
             for c in order:
                 move_and_update(st, h, p, c)
-                assert all(
-                    abs(st.gain[x]) <= bound for x in range(n) if not st.locked[x]
-                )
+                assert all(abs(g) <= bound for g in bucket_gains(st) if g is not None)
 
 
 class TestSelectMax:
@@ -248,9 +250,12 @@ class TestPartitionAfterEveryMove:
         original = module.move_and_update
 
         def checked(state, h, p, c):
-            original(state, h, p, c)
+            g = original(state, h, p, c)
             assert p == Partition.from_sides(h, p.side)
             moved.append(c)
+            assert c not in state[B1] and c not in state[B2]
+            assert state[B1].size + state[B2].size == h.cell_count - len(moved)
+            return g
 
         monkeypatch.setattr(module, "move_and_update", checked)
         return moved

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import C1, C2, C4, C5, balanced_partition
+from conftest import C1, C2, C4, C5, balanced_partition, bucket_gains
 from fmpart.fm import FmConfig
 from fmpart.gains import TIE_POLICIES, compute_gain, init
 from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
@@ -124,22 +124,22 @@ class TestBestPair:
         p = Partition.from_sides(h, [0, 1])
         st = init(h, p)
         sel = selection_state(st)
-        u, v, _ = best_pair(sel, h, p, st.gain, random.Random(0))
+        u, v, _ = best_pair(sel, h, p, random.Random(0))
         assert (u, v) == (0, 1)
 
     def test_disjoint_pairs_find_plus_two(self, h4):
         p = Partition.from_sides(h4, [0, 0, 1, 1])
         st = init(h4, p)
         sel = selection_state(st)
-        u, v, _ = best_pair(sel, h4, p, st.gain, random.Random(1))
+        u, v, _ = best_pair(sel, h4, p, random.Random(1))
         assert (u, v) in ((0, 3), (1, 2))
-        assert pair_gain(h4, p, st.gain, u, v) == 2
+        assert pair_gain(h4, p, bucket_gains(st), u, v) == 2
 
     def test_five_cell_maximum_is_minus_one(self, h_star, p_star):
         st = init(h_star, p_star)
         sel = selection_state(st)
-        u, v, _ = best_pair(sel, h_star, p_star, st.gain, random.Random(2))
-        assert pair_gain(h_star, p_star, st.gain, u, v) == -1
+        u, v, _ = best_pair(sel, h_star, p_star, random.Random(2))
+        assert pair_gain(h_star, p_star, bucket_gains(st), u, v) == -1
         assert (u, v) not in ((C5, C1), (C5, C2))
 
     def test_empty_block_rejected(self):
@@ -148,7 +148,7 @@ class TestBestPair:
         st = init(h, p)
         sel = selection_state(st)
         with pytest.raises(ValueError):
-            best_pair(sel, h, p, st.gain, random.Random(0))
+            best_pair(sel, h, p, random.Random(0))
 
     def test_equals_exhaustive_enumeration(self):
         rng = random.Random(33)
@@ -158,10 +158,11 @@ class TestBestPair:
             p = exact_balanced_partition(h, rng)
             st = init(h, p)
             sel = selection_state(st)
-            u, v, _ = best_pair(sel, h, p, st.gain, rng)
-            got = pair_gain(h, p, st.gain, u, v)
+            u, v, _ = best_pair(sel, h, p, rng)
+            gains = bucket_gains(st)
+            got = pair_gain(h, p, gains, u, v)
             exhaustive = max(
-                pair_gain(h, p, st.gain, a, b)
+                pair_gain(h, p, gains, a, b)
                 for a in range(n)
                 for b in range(n)
                 if p.side[a] == B1 and p.side[b] == B2
@@ -177,8 +178,8 @@ class TestBestPair:
             p = exact_balanced_partition(h, rng)
             for policy in TIE_POLICIES:
                 st = init(h, p, policy)
-                u, v, g = best_pair(selection_state(st), h, p, st.gain, rng)
-                assert g == pair_gain(h, p, st.gain, u, v) == delta_cut_swap(h, p, u, v)
+                u, v, g = best_pair(selection_state(st), h, p, rng)
+                assert g == pair_gain(h, p, bucket_gains(st), u, v) == delta_cut_swap(h, p, u, v)
 
     def test_exact_under_every_tie_policy_through_a_pass(self):
         # mid-size blocks at every step of a pass: locked cells gone, gains spread
@@ -187,20 +188,21 @@ class TestBestPair:
 
         def checker(policy):
             def on_step(state, p, steps):
-                if not state.buckets[B1].size:
+                if not state[B1].size:
                     return
-                unlocked = [c for c in range(h.cell_count) if not state.locked[c]]
+                gains = bucket_gains(state)
+                unlocked = [c for c in range(h.cell_count) if gains[c] is not None]
                 exhaustive = max(
-                    pair_gain(h, p, state.gain, a, b)
+                    pair_gain(h, p, gains, a, b)
                     for a in unlocked
                     for b in unlocked
                     if p.side[a] == B1 and p.side[b] == B2
                 )
                 sel = selection_state(state)
-                u, v, _ = best_pair(sel, h, p, state.gain, random.Random(checked[policy]))
+                u, v, _ = best_pair(sel, h, p, random.Random(checked[policy]))
                 assert (p.side[u], p.side[v]) == (B1, B2)
-                assert not state.locked[u] and not state.locked[v]
-                assert pair_gain(h, p, state.gain, u, v) == exhaustive
+                assert gains[u] is not None and gains[v] is not None
+                assert pair_gain(h, p, gains, u, v) == exhaustive
                 checked[policy] += 1
 
             return on_step
@@ -226,10 +228,11 @@ class TestBestPair:
             for policy in TIE_POLICIES:
                 st = init(h, p, policy)
                 for block in (B1, B2):
-                    order = list(st.buckets[block].iter_descending(rng))
-                    gains = [st.gain[c] for c in order]
+                    order = list(st[block].iter_descending(rng))
+                    gains = [g for _, g in order]
                     assert gains == sorted(gains, reverse=True)
-                    assert sorted(order) == sorted(c for c in range(n) if p.side[c] == block)
+                    assert all(g == compute_gain(h, p, c) for c, g in order)
+                    assert sorted(c for c, _ in order) == sorted(c for c in range(n) if p.side[c] == block)
 
 
 class TestVariantPass:
@@ -289,10 +292,11 @@ class TestVariantPass:
             assert p.cut_count <= before
             q = start.clone()
             for st in trace.steps:
+                cut_before = q.cut_count
                 for c in st.cells:
                     apply_move(q, ph.graph, c)
                 assert q.cut_count == st.cut_after
-                assert st.cum_gain == trace.initial_cut - st.cut_after
+                assert st.gain == cut_before - st.cut_after
             replay = start.clone()
             for st in trace.steps[: trace.best_prefix]:
                 for c in st.cells:
