@@ -55,7 +55,8 @@ class ExperimentRow:
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """One (file, algorithm, seed) task that raised instead of giving a row."""
+    """One (file, algorithm, seed) task that raised, or whose worker process
+    died, instead of giving a row."""
 
     label: str
     algorithm: str
@@ -69,6 +70,11 @@ def _execute(task):
     return runner(h, cfg, label=label)
 
 
+def _failure(task, exc: Exception) -> TaskFailure:
+    label, algo, _h, cfg = task
+    return TaskFailure(label, algo, cfg.seed, f"{type(exc).__name__}: {exc}")
+
+
 def _attempt(task):
     """_execute(task), or a TaskFailure naming the task and what it raised.
 
@@ -78,8 +84,7 @@ def _attempt(task):
     try:
         return _execute(task)
     except Exception as exc:  # one failing task must not lose the others
-        label, algo, _h, cfg = task
-        return TaskFailure(label, algo, cfg.seed, f"{type(exc).__name__}: {exc}")
+        return _failure(task, exc)
 
 
 def run_experiment(
@@ -100,6 +105,9 @@ def run_experiment(
     Without a failures list, a task that raises ends the call with its
     exception. With one, each such task is appended to it as a TaskFailure,
     in row order, and the rows and summary hold the tasks that succeeded.
+    A worker process that dies breaks the whole pool: with a failures list,
+    every task that had not returned by then becomes a TaskFailure and the
+    rows of the tasks that had are kept.
     """
     tasks = [
         (label, algo, h, replace(cfg, seed=seed))
@@ -111,9 +119,18 @@ def run_experiment(
     if jobs > 1 and len(tasks) > 1:
         # imported here: a serial run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        outcomes = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(execute, tasks))
+            futures = [pool.submit(execute, t) for t in tasks]
+            for task, future in zip(tasks, futures):
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as exc:
+                    if failures is None:
+                        raise
+                    outcomes.append(_failure(task, exc))
     else:
         outcomes = [execute(t) for t in tasks]
     rows = []

@@ -90,8 +90,10 @@ def parse_ibm_net(data: Union[bytes, str], dialect: str = "net") -> NetlistDocum
         )
     names: list[str] = []
     ids: dict[str, int] = {}
-    nets: list[list[int]] = []
-    current: set[int] = set()
+    nets: list[tuple[int, ...]] = []
+    # the net being read: its distinct pins in order; closed into a tuple
+    # when the next 's' line opens a net, so no pin list is held twice
+    current: dict[int, None] = {}
     duplicates = 0
     for k, raw in enumerate(pin_lines):
         toks = raw.split()
@@ -110,16 +112,18 @@ def parse_ibm_net(data: Union[bytes, str], dialect: str = "net") -> NetlistDocum
             ids[name] = cid
             names.append(name)
         if marker == "s":
-            nets.append([cid])
-            current = {cid}
+            if current:
+                nets.append(tuple(current))
+            current = {cid: None}
         else:
-            if not nets:
+            if not current:
                 raise NetlistFormatError("first pin line must carry the 's' marker")
             if cid in current:
                 duplicates += 1
             else:
-                current.add(cid)
-                nets[-1].append(cid)
+                current[cid] = None
+    if current:
+        nets.append(tuple(current))
     if len(nets) != net_count:
         raise NetlistFormatError(
             f"header declares {net_count} nets but {len(nets)} 's' lines follow"
@@ -129,8 +133,7 @@ def parse_ibm_net(data: Union[bytes, str], dialect: str = "net") -> NetlistDocum
             f"header declares {module_count} modules but the pin lines name {len(names)} cells"
         )
     return NetlistDocument(
-        pin_count, net_count, module_count, pad_offset,
-        [tuple(n) for n in nets], names, ids, duplicates,
+        pin_count, net_count, module_count, pad_offset, nets, names, ids, duplicates,
     )
 
 
@@ -159,7 +162,11 @@ def parse_hgr(data: Union[bytes, str]) -> NetlistDocument:
         pins: list[int] = []
         seen: set[int] = set()
         for tok in raw.split():
-            v = _int_token(tok, f"net line {k + 1}")
+            try:
+                v = int(tok)
+            except ValueError:
+                # the label is built only here: this loop runs once per pin
+                raise NetlistFormatError(f"net line {k + 1}: non-integer token {tok!r}") from None
             if not 1 <= v <= cell_count:
                 raise NetlistFormatError(
                     f"net line {k + 1}: cell id {v} out of range 1..{cell_count}"

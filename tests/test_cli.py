@@ -1,8 +1,10 @@
 import csv
 import io
 import multiprocessing
+import os
 import random
 import re
+import time
 
 import pytest
 
@@ -322,6 +324,36 @@ class TestCliMain:
         kept = [ln for ln in normalize_elapsed(full.read_text()).splitlines() if not ln.startswith(f"{quad},fm,2,")]
         assert outputs[0][0].splitlines() == kept
         assert len(kept) == 1 + 2 * 2 * 3 - 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patched _execute"
+    )
+    def test_dead_worker_keeps_the_finished_rows(self, fixture_files, tmp_path, capsys, monkeypatch):
+        star, quad = fixture_files
+        argv = ["run", "--input", str(star), str(quad), "--algo", "both", "--seeds", "3"]
+        full = tmp_path / "full.csv"
+        assert main(argv + ["--csv", str(full)]) == 0
+        real = cli._execute
+
+        def execute(task):
+            # the last task kills its worker once the other tasks, each a few
+            # milliseconds long, have returned their rows
+            if task[:2] == (str(quad), "fm_variant") and task[3].seed == 3:
+                time.sleep(2)
+                os._exit(3)
+            return real(task)
+
+        monkeypatch.setattr(cli, "_execute", execute)
+        rows, summary = tmp_path / "rows.csv", tmp_path / "summary.csv"
+        capsys.readouterr()
+        assert main(argv + ["--jobs", "2", "--csv", str(rows), "--summary", str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {quad} fm_variant seed 3: BrokenProcessPool: ")
+        assert err.count("\n") == 1
+        kept = [ln for ln in full.read_text().splitlines() if not ln.startswith(f"{quad},fm_variant,3,")]
+        assert normalize_elapsed(rows.read_text()).splitlines() == [normalize_elapsed(ln) for ln in kept]
+        assert len(kept) == 1 + 2 * 2 * 3 - 1
+        assert summary.read_text().splitlines()[2:] == [f"{star},1,1,0.00", f"{quad},0,0,undefined"]
 
     def test_verify_reports_a_failed_task(self, fixture_files, capsys, monkeypatch):
         star, quad = fixture_files
