@@ -10,7 +10,7 @@ algorithms, the oracle and the parsers. Gain buckets, pair search and other
 pass internals stay in their modules (`fmpart.gains`, `fmpart.pairwise`).
 """
 
-from .fm import FmConfig, PassStep, PassTrace, RunResult, fm_pass, fm_run, random_initial_partition
+from .fm import FmConfig, PassTrace, RunResult, fm_pass, fm_run, random_initial_partition
 from .hypergraph import Hypergraph, Partition, build, cut_count
 from .netlist_io import (
     NetlistDocument,
@@ -30,7 +30,6 @@ __all__ = [
     "NetlistFormatError",
     "OracleResult",
     "Partition",
-    "PassStep",
     "PassTrace",
     "RunResult",
     "build",

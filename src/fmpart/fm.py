@@ -12,13 +12,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .gains import TIE_POLICIES, Buckets, init, move_and_update, select_max
 from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
 from .synth import random_balanced_sides
 
-StepHook = Callable[[Buckets, Partition, list], None]
+# Called after every step of a pass with the live buckets, the partition and
+# the pass's log of moved cells so far (two cells per swap step).
+StepHook = Callable[[Buckets, Partition, list[int]], None]
 
 
 @dataclass(frozen=True)
@@ -36,33 +38,17 @@ class FmConfig:
             raise ValueError("max_passes must be positive when bounded")
 
 
-class PassStep(NamedTuple):
-    cells: tuple[int, ...]
-    gain: int
-    cut_after: int
-    size_diff: int
-
-
 @dataclass
 class PassTrace:
-    """Ordered move log of one pass plus the prefix the pass settled on."""
+    """One pass: the cut it started from and the one it settled on, the cells
+    it moved in order (a swap step logs u, then v), and how many of them it
+    kept."""
 
     initial_cut: int
-    initial_size_diff: int
-    steps: list[PassStep]
+    best_cut: int
+    steps: list[int]
     best_prefix: int
     pair_gain_evals: int = 0
-
-    def prefix_cut(self, t: int) -> int:
-        return self.initial_cut if t == 0 else self.steps[t - 1].cut_after
-
-    @property
-    def best_cut(self) -> int:
-        return self.prefix_cut(self.best_prefix)
-
-    @property
-    def best_gain(self) -> int:
-        return self.initial_cut - self.best_cut
 
 
 @dataclass
@@ -105,61 +91,41 @@ def _source_block(buckets: Buckets, p: Partition) -> Optional[int]:
     return B1
 
 
-def best_prefix_index(initial_cut: int, initial_diff: int, steps: list[PassStep]) -> int:
-    """Earliest prefix minimizing cut among prefixes with |S(B1)-S(B2)| <= 1.
+def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int) -> None:
+    """Return p, which the pass moved cell by cell from its start in the
+    order of moved, to its state after the first keep moves.
 
-    Falls back to prefix 0 (no moves) when no prefix is balanced, which can
-    only happen for an unbalanced starting partition.
-    """
-    best_t = None
-    best_cut = None
-    if abs(initial_diff) <= 1:
-        best_t, best_cut = 0, initial_cut
-    for t, st in enumerate(steps, start=1):
-        if abs(st.size_diff) <= 1 and (best_cut is None or st.cut_after < best_cut):
-            best_t, best_cut = t, st.cut_after
-    return 0 if best_t is None else best_t
-
-
-def rollback_to_prefix(h: Hypergraph, p: Partition, steps: list[PassStep], keep: int) -> None:
-    """Return p, which the steps moved from the pass's start, to its state
-    after the first keep steps.
-
-    When the steps moved every cell of h exactly once, p is the complement
-    of the pass's start. If the kept prefix is then shorter than the undone
+    When moved holds every cell of h exactly once, p is the complement of
+    the pass's start. If the kept prefix is then shorter than the undone
     tail, p flips back to the start in O(cells + nets) and replays the
     prefix; a partition and its complement cut the same nets, so the cut
-    count needs no change. Otherwise the tail is undone step by step.
+    count needs no change. Otherwise the tail is undone move by move.
     """
-    tail = steps[keep:]
-    if len(tail) > keep:
-        moved = [c for st in steps for c in st.cells]
-        if len(moved) == h.cell_count == len(set(moved)):
-            p.side[:] = [1 - s for s in p.side]
-            p.block_size.reverse()
-            for occ in p.net_occupancy:
-                occ.reverse()
-            for st in steps[:keep]:
-                for c in st.cells:
-                    apply_move(p, h, c)
-            return
-    for st in reversed(tail):
-        for c in st.cells:
+    if len(moved) - keep > keep and len(moved) == h.cell_count == len(set(moved)):
+        p.side[:] = [1 - s for s in p.side]
+        p.block_size.reverse()
+        for occ in p.net_occupancy:
+            occ.reverse()
+        for c in moved[:keep]:
             apply_move(p, h, c)
+        return
+    for c in reversed(moved[keep:]):
+        apply_move(p, h, c)
 
 
 def close_pass(
     h: Hypergraph,
     p: Partition,
     initial_cut: int,
-    initial_diff: int,
-    steps: list[PassStep],
+    moved: list[int],
+    best_t: int,
+    best_cut: int,
     pair_gain_evals: int = 0,
 ) -> PassTrace:
-    """Roll p back to the best balanced prefix of steps and record the pass."""
-    best = best_prefix_index(initial_cut, initial_diff, steps)
-    rollback_to_prefix(h, p, steps, best)
-    return PassTrace(initial_cut, initial_diff, steps, best, pair_gain_evals)
+    """Roll p back to the first best_t moves of the pass, where its cut was
+    best_cut, and record the pass."""
+    rollback_to_prefix(h, p, moved, best_t)
+    return PassTrace(initial_cut, best_cut, moved, best_t, pair_gain_evals)
 
 
 def repeat_passes(p: Partition, max_passes: Optional[int], one_pass: Callable[[], object]) -> int:
@@ -184,24 +150,31 @@ def fm_pass(
 ) -> PassTrace:
     """Move every cell once under locking, then roll back to the best prefix.
 
-    On return p sits at the minimum-cut balanced configuration seen during
-    the pass (or where it started, when nothing better appeared).
+    The best prefix is the earliest one of minimum cut among those with
+    |S(B1) - S(B2)| <= 1; from an unbalanced start the first balanced prefix
+    beats the start whatever its cut, and with none the pass keeps nothing.
+    On return p sits at that prefix's configuration.
     """
     buckets = init(h, p, cfg.tie_policy)
     sizes = p.block_size
     initial_cut = p.cut_count
-    initial_diff = sizes[B1] - sizes[B2]
-    steps: list[PassStep] = []
+    balanced_start = -1 <= sizes[B1] - sizes[B2] <= 1
+    # an unbalanced start scores above every reachable cut, so the first
+    # balanced prefix beats it
+    best_t, best_cut = 0, (initial_cut if balanced_start else h.net_count + 1)
+    moved: list[int] = []
     while True:
         blk = _source_block(buckets, p)
         if blk is None:
             break
         c = select_max(buckets, blk, rng)
-        g = move_and_update(buckets, h, p, c)
-        steps.append(PassStep((c,), g, p.cut_count, sizes[B1] - sizes[B2]))
+        move_and_update(buckets, h, p, c)
+        moved.append(c)
+        if p.cut_count < best_cut and -1 <= sizes[B1] - sizes[B2] <= 1:
+            best_t, best_cut = len(moved), p.cut_count
         if on_step is not None:
-            on_step(buckets, p, steps)
-    return close_pass(h, p, initial_cut, initial_diff, steps)
+            on_step(buckets, p, moved)
+    return close_pass(h, p, initial_cut, moved, best_t, best_cut if best_t else initial_cut)
 
 
 def fm_run(

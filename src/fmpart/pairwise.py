@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .fm import FmConfig, PassStep, PassTrace, RunResult, StepHook, close_pass, repeat_passes
+from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, repeat_passes
 from .gains import Buckets, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition
 from .synth import random_balanced_sides
@@ -171,18 +171,21 @@ def variant_pass(
         raise ValueError("pairwise pass needs equal block sizes")
     buckets = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count
-    steps: list[PassStep] = []
+    best_t, best_cut = 0, initial_cut
+    moved: list[int] = []
     evals = 0
     for _ in range(m):
         sel = selection_state(buckets)
-        u, v, g = best_pair(sel, h, p, rng)
+        u, v, _ = best_pair(sel, h, p, rng)
         evals += sel.pair_gain_evals
         move_and_update(buckets, h, p, u)
         move_and_update(buckets, h, p, v)
-        steps.append(PassStep((u, v), g, p.cut_count, p.block_size[B1] - p.block_size[B2]))
+        moved += (u, v)
+        if p.cut_count < best_cut:
+            best_t, best_cut = len(moved), p.cut_count
         if on_step is not None:
-            on_step(buckets, p, steps)
-    return close_pass(h, p, initial_cut, 0, steps, evals)
+            on_step(buckets, p, moved)
+    return close_pass(h, p, initial_cut, moved, best_t, best_cut, evals)
 
 
 def variant_run(

@@ -75,12 +75,11 @@ def test_criterion_03_incremental_updates_audited_every_move():
     def run_with_audit(h, runner):
         nonlocal moves
 
-        def on_step(state, p, steps):
+        def on_step(state, p, moved):
             nonlocal moves
             audit(state, h, p)  # filed gains vs from-scratch + bucket structure
-            moved = sum(len(st.cells) for st in steps)
-            assert all(c not in state[B1] and c not in state[B2] for c in steps[-1].cells)
-            assert state[B1].size + state[B2].size == len(p.side) - moved
+            assert all(c not in state[B1] and c not in state[B2] for c in moved)
+            assert state[B1].size + state[B2].size == len(p.side) - len(moved)
             moves += 1
 
         runner(h, FmConfig(seed=5), on_step=on_step)
@@ -132,9 +131,8 @@ def test_criterion_05_never_worsen_and_rollback_replay():
         trace = fm_pass(h, p, FmConfig(seed=6), rng)
         assert p.cut_count <= start.cut_count
         replay = start.clone()
-        for st in trace.steps[: trace.best_prefix]:
-            for c in st.cells:
-                apply_move(replay, h, c)
+        for c in trace.steps[: trace.best_prefix]:
+            apply_move(replay, h, c)
         assert replay == p
         # pairwise pass
         ph = pad_dummy(h)
@@ -148,9 +146,8 @@ def test_criterion_05_never_worsen_and_rollback_replay():
         qtrace = variant_pass(ph, q, FmConfig(seed=6), rng)
         assert q.cut_count <= qstart.cut_count
         qreplay = qstart.clone()
-        for st in qtrace.steps[: qtrace.best_prefix]:
-            for c in st.cells:
-                apply_move(qreplay, ph.graph, c)
+        for c in qtrace.steps[: qtrace.best_prefix]:
+            apply_move(qreplay, ph.graph, c)
         assert qreplay == q
         passes += 2
     report(5, "never-worsen and exact rollback replay", True, f"({passes} passes)")

@@ -6,8 +6,6 @@ import fmpart.fm
 from conftest import balanced_partition
 from fmpart.fm import (
     FmConfig,
-    PassTrace,
-    best_prefix_index,
     fm_pass,
     fm_run,
     random_initial_partition,
@@ -91,24 +89,40 @@ class TestFmPass:
         assert trace.steps == []
         assert trace.best_prefix == 0
 
-    def test_trace_consistency_on_random_instances(self):
+    def test_trace_consistency_on_random_instances(self, monkeypatch):
+        # each step's gain, as move_and_update returns it, and the cut after
+        # it, as the pass's partition holds it
+        gains = []
+        move_and_update = fmpart.fm.move_and_update
+
+        def recorded(*args):
+            g = move_and_update(*args)
+            gains.append(g)
+            return g
+
+        monkeypatch.setattr(fmpart.fm, "move_and_update", recorded)
         rng = random.Random(21)
         for _ in range(60):
             n = rng.randint(1, 12)
             h = random_hypergraph(rng, n, rng.randint(0, 18), 1, 6)
             p = balanced_partition(h, rng)
             start = p.clone()
-            trace = fm_pass(h, p, FmConfig(seed=1), rng)
+            gains.clear()
+            cuts_after = []
+
+            def on_step(buckets, q, moved):
+                cuts_after.append(q.cut_count)
+
+            trace = fm_pass(h, p, FmConfig(seed=1), rng, on_step=on_step)
             # every cell moved exactly once
-            assert len(trace.steps) == n
-            assert sorted(c for st in trace.steps for c in st.cells) == list(range(n))
+            assert len(trace.steps) == n == len(gains) == len(cuts_after)
+            assert sorted(trace.steps) == list(range(n))
             q = start.clone()
-            for st in trace.steps:
-                assert st.gain == q.cut_count - st.cut_after
-                for c in st.cells:
-                    apply_move(q, h, c)
-                assert q.cut_count == st.cut_after
-                assert cut_count(h, q.side) == st.cut_after
+            for c, gain, cut_after in zip(trace.steps, gains, cuts_after):
+                assert gain == q.cut_count - cut_after
+                apply_move(q, h, c)
+                assert q.cut_count == cut_after
+                assert cut_count(h, q.side) == cut_after
 
     def test_rollback_replay_reproduces_partition(self):
         rng = random.Random(22)
@@ -120,10 +134,10 @@ class TestFmPass:
             before_cut = p.cut_count
             trace = fm_pass(h, p, FmConfig(seed=3), rng)
             assert p.cut_count <= before_cut  # never worsens
+            assert trace.best_cut == p.cut_count
             replay = start.clone()
-            for st in trace.steps[: trace.best_prefix]:
-                for c in st.cells:
-                    apply_move(replay, h, c)
+            for c in trace.steps[: trace.best_prefix]:
+                apply_move(replay, h, c)
             assert replay == p
 
     def test_pass_respects_balance_on_return(self):
@@ -136,14 +150,9 @@ class TestFmPass:
             assert abs(p.block_size[B1] - p.block_size[B2]) <= 1
 
 
-def flip_steps(p, h, steps):
-    for st in steps:
-        for c in st.cells:
-            apply_move(p, h, c)
-
-
-def cells_in(steps):
-    return sum(len(st.cells) for st in steps)
+def flip_cells(p, h, moved):
+    for c in moved:
+        apply_move(p, h, c)
 
 
 class TestRollbackToPrefix:
@@ -152,10 +161,10 @@ class TestRollbackToPrefix:
     clone of the start."""
 
     @staticmethod
-    def rolled_back(monkeypatch, h, start, steps, keep):
-        """Roll start moved by steps back to keep steps; the flips it took."""
+    def rolled_back(monkeypatch, h, start, moved, keep):
+        """Roll start moved by the cells in moved back to keep of them; the flips it took."""
         p = start.clone()
-        flip_steps(p, h, steps)
+        flip_cells(p, h, moved)
         flips = []
 
         def counted(q, g, c):
@@ -164,9 +173,9 @@ class TestRollbackToPrefix:
 
         with monkeypatch.context() as m:
             m.setattr(fmpart.fm, "apply_move", counted)
-            rollback_to_prefix(h, p, steps, keep)
+            rollback_to_prefix(h, p, moved, keep)
         replay = start.clone()
-        flip_steps(replay, h, steps[:keep])
+        flip_cells(replay, h, moved[:keep])
         assert p == replay
         return len(flips)
 
@@ -174,63 +183,81 @@ class TestRollbackToPrefix:
     def test_each_path_matches_prefix_replay(self, monkeypatch, kind):
         rng = random.Random(31)
         taken = set()
+        # prefixes end on step boundaries: one cell per FM step, two per swap
+        unit = 1 if kind == "fm" else 2
         for _ in range(40):
             n = rng.randint(1, 14)
             g = random_hypergraph(rng, n, rng.randint(0, 2 * n), 1, 6)
             if kind == "fm":
                 h = g
                 start = balanced_partition(h, rng)
-                steps = fm_pass(h, start.clone(), FmConfig(seed=5), rng).steps
+                moved = fm_pass(h, start.clone(), FmConfig(seed=5), rng).steps
             else:
                 ph = pad_dummy(g)
                 h = ph.graph
                 start = Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
-                steps = variant_pass(ph, start.clone(), FmConfig(seed=5), rng).steps
-            for keep in range(len(steps) + 1):
-                flips = self.rolled_back(monkeypatch, h, start, steps, keep)
-                if 2 * keep < len(steps):
-                    assert flips == cells_in(steps[:keep])
+                moved = variant_pass(ph, start.clone(), FmConfig(seed=5), rng).steps
+            for keep in range(0, len(moved) + 1, unit):
+                flips = self.rolled_back(monkeypatch, h, start, moved, keep)
+                if 2 * keep < len(moved):
+                    assert flips == keep
                     taken.add(("complement", n % 2))
                 else:
-                    assert flips == cells_in(steps[keep:])
+                    assert flips == len(moved) - keep
                     taken.add(("undo", n % 2))
             # a pass cut short leaves cells unmoved, so it is undone
-            for j in range(1, len(steps)):
-                assert self.rolled_back(monkeypatch, h, start, steps[:j], 0) == cells_in(steps[:j])
+            for j in range(unit, len(moved), unit):
+                assert self.rolled_back(monkeypatch, h, start, moved[:j], 0) == j
                 taken.add(("partial", n % 2))
         assert taken == {(path, odd) for path in ("complement", "undo", "partial") for odd in (0, 1)}
 
 
-class TestBestPrefixIndex:
-    def test_prefers_earliest_minimum(self):
-        trace = PassTrace(5, 1, [], 0)
-        assert trace.best_cut == 5
+def prefix_log(nets, cells, side):
+    """One pass from side: its trace, the partition it left, and the cut and
+    size difference S(B1) - S(B2) of every prefix, the empty one first."""
+    h = build(nets, cells)
+    p = Partition.from_sides(h, side)
+    log = [(p.cut_count, p.block_size[B1] - p.block_size[B2])]
 
+    def on_step(buckets, q, moved):
+        log.append((q.cut_count, q.block_size[B1] - q.block_size[B2]))
+
+    trace = fm_pass(h, p, FmConfig(seed=1), random.Random(1), on_step=on_step)
+    assert len(log) == len(trace.steps) + 1
+    return trace, p, log
+
+
+class TestBestPrefix:
     def test_unbalanced_prefixes_skipped(self):
-        from fmpart.fm import PassStep
-
-        steps = [
-            PassStep((0,), 2, 3, 2),   # better cut but unbalanced
-            PassStep((1,), -1, 4, 1),
-        ]
-        assert best_prefix_index(5, 1, steps) == 2
+        trace, p, log = prefix_log([[0, 1, 3], [0, 2, 3], [0, 2], [0, 2]], 4, [1, 1, 0, 0])
+        # the first move cuts 1 net but leaves sizes 1 and 3
+        assert log[:3] == [(4, 0), (1, 2), (2, 0)]
+        assert (trace.best_prefix, trace.best_cut) == (2, 2)
+        assert (p.cut_count, p.block_size) == (2, [2, 2])
 
     def test_tie_resolves_to_earliest(self):
-        from fmpart.fm import PassStep
+        trace, p, log = prefix_log([[0, 1, 4], [1, 2, 4], [0, 2, 3]], 5, [0, 0, 1, 0, 1])
+        # prefixes 1, 2 and 3 are balanced and all cut 2 nets
+        assert [cut for cut, _ in log[:4]] == [3, 2, 2, 2]
+        assert all(abs(diff) <= 1 for _, diff in log[:4])
+        assert (trace.best_prefix, trace.best_cut) == (1, 2)
+        assert p.cut_count == 2
 
-        steps = [
-            PassStep((0,), 0, 5, 1),
-            PassStep((1,), 0, 5, 0),
-        ]
-        assert best_prefix_index(5, 0, steps) == 0
+    def test_no_improvement_keeps_the_start(self):
+        # a 4-ring split into two arcs already cuts the balanced minimum of 2
+        side = [0, 0, 1, 1]
+        trace, p, log = prefix_log([[0, 1], [1, 2], [2, 3], [3, 0]], 4, side)
+        assert min(cut for cut, diff in log if abs(diff) <= 1) == 2
+        assert (trace.best_prefix, trace.best_cut) == (0, trace.initial_cut) == (0, 2)
+        assert p.side == side
 
-    def test_steps_are_immutable(self):
-        from fmpart.fm import PassStep
-
-        step = PassStep((0,), 1, 4, 1)
-        assert (step.cells, step.gain, step.cut_after, step.size_diff) == ((0,), 1, 4, 1)
-        with pytest.raises(AttributeError):
-            step.cut_after = 3
+    def test_unbalanced_start_takes_first_balanced_prefix(self):
+        # both cells start in B1: the first move balances at cut 1, the
+        # second reaches cut 0 with both cells in B2
+        trace, p, log = prefix_log([[0, 1]], 2, [0, 0])
+        assert log == [(0, 2), (1, 0), (0, -2)]
+        assert (trace.initial_cut, trace.best_cut, trace.best_prefix) == (0, 1, 1)
+        assert (p.cut_count, p.block_size) == (1, [1, 1])
 
 
 class TestFmRun:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fmpart.pairwise
 from conftest import C1, C2, C4, C5, balanced_partition, bucket_gains
 from fmpart.fm import FmConfig
 from fmpart.gains import TIE_POLICIES, compute_gain, init
@@ -241,8 +242,9 @@ class TestVariantPass:
             p = Partition.from_sides(h4, [0, 0, 1, 1])
             ph = pad_dummy(h4)
             trace = variant_pass(ph, p, FmConfig(seed=seed), random.Random(seed))
-            assert trace.steps[0].cut_after == 0
-            assert trace.best_prefix == 1
+            # the kept prefix is the first swap, and it cuts nothing
+            assert trace.best_prefix == 2
+            assert trace.best_cut == 0
             assert p.cut_count == 0
 
     def test_start_at_optimum_unchanged(self, h4):
@@ -267,19 +269,30 @@ class TestVariantPass:
 
     def test_blocks_stay_equal_every_step(self):
         rng = random.Random(35)
+
+        def on_step(buckets, q, moved):
+            assert q.block_size[B1] == q.block_size[B2]
+            assert len(moved) % 2 == 0
+
         for _ in range(50):
             n = rng.choice([2, 4, 6, 8, 10, 12])
             h = random_hypergraph(rng, n, rng.randint(1, 18), 1, 6)
             ph = pad_dummy(h)
             p = exact_balanced_partition(ph.graph, rng)
-            trace = variant_pass(ph, p, FmConfig(seed=1), rng)
-            assert len(trace.steps) == ph.half_size
-            for st in trace.steps:
-                assert st.size_diff == 0
-            moved = sorted(c for st in trace.steps for c in st.cells)
-            assert moved == list(range(ph.graph.cell_count))
+            trace = variant_pass(ph, p, FmConfig(seed=1), rng, on_step=on_step)
+            assert len(trace.steps) == 2 * ph.half_size
+            assert sorted(trace.steps) == list(range(ph.graph.cell_count))
 
-    def test_step_gains_are_exact_and_rollback_replays(self):
+    def test_step_gains_are_exact_and_rollback_replays(self, monkeypatch):
+        # each step's gain, as best_pair returns it, and the cut after it
+        gains = []
+
+        def recorded(*args):
+            u, v, g = best_pair(*args)
+            gains.append(g)
+            return u, v, g
+
+        monkeypatch.setattr(fmpart.pairwise, "best_pair", recorded)
         rng = random.Random(36)
         for _ in range(60):
             n = rng.choice([2, 4, 6, 8, 10, 12])
@@ -288,19 +301,25 @@ class TestVariantPass:
             p = exact_balanced_partition(ph.graph, rng)
             start = p.clone()
             before = p.cut_count
-            trace = variant_pass(ph, p, FmConfig(seed=2), rng)
+            gains.clear()
+            cuts_after = []
+
+            def on_step(buckets, q, moved):
+                cuts_after.append(q.cut_count)
+
+            trace = variant_pass(ph, p, FmConfig(seed=2), rng, on_step=on_step)
             assert p.cut_count <= before
+            assert len(trace.steps) == 2 * len(gains) == 2 * len(cuts_after)
             q = start.clone()
-            for st in trace.steps:
+            for t, (gain, cut_after) in enumerate(zip(gains, cuts_after)):
                 cut_before = q.cut_count
-                for c in st.cells:
+                for c in trace.steps[2 * t : 2 * t + 2]:
                     apply_move(q, ph.graph, c)
-                assert q.cut_count == st.cut_after
-                assert st.gain == cut_before - st.cut_after
+                assert q.cut_count == cut_after
+                assert gain == cut_before - cut_after
             replay = start.clone()
-            for st in trace.steps[: trace.best_prefix]:
-                for c in st.cells:
-                    apply_move(replay, ph.graph, c)
+            for c in trace.steps[: trace.best_prefix]:
+                apply_move(replay, ph.graph, c)
             assert replay == p
 
 
@@ -313,7 +332,7 @@ class TestVariantPass:
         ph = pad_dummy(h)
         p = exact_balanced_partition(ph.graph, rng)
         trace = variant_pass(ph, p, FmConfig(seed=1, tie_policy=policy), rng)
-        assert len(trace.steps) == ph.half_size
+        assert len(trace.steps) == 2 * ph.half_size
         assert trace.pair_gain_evals <= 4 * ph.half_size
 
 

@@ -34,3 +34,20 @@ def test_every_pass_rollback_is_traced(tracer, runner, pass_layer):
     assert tracer.count[pass_layer] == r.passes
     assert tracer.count["fm.rollback"] == r.passes
     assert tracer.time["fm.rollback"] > 0
+
+
+@pytest.mark.parametrize("runner", [fm_run, variant_run])
+def test_pass_figures_read_from_the_trace(tracer, runner):
+    # what the tracer reads from each PassTrace: the moved cells, the kept
+    # prefix and the pair evaluations
+    h = clustered_hypergraph(random.Random(5), 81, 100)
+    r = runner(h, FmConfig(seed=1, tie_policy="lifo", max_passes=3))
+    layers = tracer.layer_metrics()
+    assert 0 <= layers["fm.kept_ratio"] <= 1
+    assert 0 <= layers["pairwise.kept_ratio"] <= 1
+    if runner is fm_run:
+        assert tracer.count["fm.moves"] == r.passes * h.cell_count
+    else:
+        assert tracer.count["pairwise.pair_gain_evals"] > 0
+        # steps count moved cells: the padded graph's 82, once per pass
+        assert tracer.count["pairwise.steps"] == r.passes * (h.cell_count + 1)
