@@ -15,6 +15,7 @@ from decimal import Decimal, ROUND_DOWN
 from typing import Optional, Sequence
 
 from .fm import FmConfig, RunResult, fm_run
+from .gains import TIE_POLICIES
 from .hypergraph import Hypergraph
 from .netlist_io import NetlistDocument, NetlistFormatError, parse_hgr, parse_ibm_net
 from .oracle import MAX_ORACLE_CELLS, exact_min_cut_balanced
@@ -22,6 +23,7 @@ from .pairwise import variant_run
 
 ROW_FIELDS = ("file", "algorithm", "seed", "initial_cut", "optimal_cut", "passes", "elapsed_ms")
 SUMMARY_FIELDS = ("file", "fm_best", "variant_best", "gain_mu")
+FORMATS = ("netd", "net", "hgr", "auto")
 JOBS_ENV_VAR = "PARTITION_JOBS"
 DEFAULT_SEED_COUNT = 10
 
@@ -238,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run algorithms over netlists and emit CSV results")
     run.add_argument("--input", nargs="+", required=True, help="netlist files")
-    run.add_argument("--format", choices=("netd", "net", "hgr", "auto"), default="auto")
+    run.add_argument("--format", choices=FORMATS, default="auto")
     run.add_argument("--algo", choices=("fm", "variant", "fm_variant", "both"), default="both")
     run.add_argument(
         "--seeds", type=parse_seed_spec, default=list(range(1, DEFAULT_SEED_COUNT + 1)),
         help="comma-separated seed list, or a count N meaning seeds 1..N (default 10)",
     )
     run.add_argument("--max-passes", type=positive_int, default=100)
-    run.add_argument("--tie", choices=("random", "fifo", "lifo"), default="random")
+    run.add_argument("--tie", choices=TIE_POLICIES, default="random")
     run.add_argument(
         "--jobs", type=positive_int, default=None,
         help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)",
@@ -255,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="cross-check both algorithms against the exact oracle")
     ver.add_argument("--input", nargs="+", required=True)
-    ver.add_argument("--format", choices=("netd", "net", "hgr", "auto"), default="auto")
+    ver.add_argument("--format", choices=FORMATS, default="auto")
     ver.add_argument("--seeds", type=parse_seed_spec, default=list(range(1, DEFAULT_SEED_COUNT + 1)))
     ver.add_argument("--max-passes", type=positive_int, default=100)
-    ver.add_argument("--tie", choices=("random", "fifo", "lifo"), default="random")
+    ver.add_argument("--tie", choices=TIE_POLICIES, default="random")
 
     st = sub.add_parser("stats", help="print cells, nets, pins and max degree")
     st.add_argument("--input", required=True)
-    st.add_argument("--format", choices=("netd", "net", "hgr", "auto"), default="auto")
+    st.add_argument("--format", choices=FORMATS, default="auto")
     return ap
 
 
@@ -331,12 +333,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    try:
-        doc = load_document(args.input, args.format)
-        h = doc.to_hypergraph()
-    except (OSError, ValueError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
+    entries, failed = _load_entries([args.input], args.format)
+    if failed:
         return 1
+    ((_, h),) = entries
     print(
         f"{args.input}: cells={h.cell_count} nets={h.net_count} "
         f"pins={h.pin_count} max_degree={h.max_cell_degree}"

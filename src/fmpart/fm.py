@@ -95,13 +95,14 @@ def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int)
     """Return p, which the pass moved cell by cell from its start in the
     order of moved, to its state after the first keep moves.
 
-    When moved holds every cell of h exactly once, p is the complement of
-    the pass's start. If the kept prefix is then shorter than the undone
-    tail, p flips back to the start in O(cells + nets) and replays the
-    prefix; a partition and its complement cut the same nets, so the cut
-    count needs no change. Otherwise the tail is undone move by move.
+    moved lists each cell at most once, as locking guarantees within a
+    pass, so when it is as long as h has cells, p is the complement of the
+    pass's start. If the kept prefix is then shorter than the undone tail,
+    p flips back to the start in O(cells + nets) and replays the prefix; a
+    partition and its complement cut the same nets, so the cut count needs
+    no change. Otherwise the tail is undone move by move.
     """
-    if len(moved) - keep > keep and len(moved) == h.cell_count == len(set(moved)):
+    if len(moved) - keep > keep and len(moved) == h.cell_count:
         p.side[:] = [1 - s for s in p.side]
         p.block_size.reverse()
         for occ in p.net_occupancy:
@@ -128,17 +129,30 @@ def close_pass(
     return PassTrace(initial_cut, best_cut, moved, best_t, pair_gain_evals)
 
 
-def repeat_passes(p: Partition, max_passes: Optional[int], one_pass: Callable[[], object]) -> int:
-    """Call one_pass while it lowers p's cut, at most max_passes times
-    (None: no cap); return the number of passes made."""
+def run_passes(
+    h: Hypergraph,
+    cfg: FmConfig,
+    algorithm: str,
+    one_pass: Callable[..., PassTrace],
+    label: str,
+    on_step: Optional[StepHook],
+) -> RunResult:
+    """One run: a random balanced start on h, then one_pass while it lowers
+    the cut, at most cfg.max_passes times (None: no cap); the row names the
+    algorithm."""
+    rng = random.Random(cfg.seed)
+    started = time.perf_counter()
+    p = random_initial_partition(h, rng)
+    initial_cut = p.cut_count
     passes = 0
-    while max_passes is None or passes < max_passes:
+    while cfg.max_passes is None or passes < cfg.max_passes:
         before = p.cut_count
-        one_pass()
+        one_pass(h, p, cfg, rng, on_step)
         passes += 1
         if p.cut_count >= before:
             break
-    return passes
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return RunResult(label, algorithm, cfg.seed, initial_cut, p.cut_count, passes, elapsed_ms, tuple(p.side))
 
 
 def fm_pass(
@@ -184,10 +198,4 @@ def fm_run(
     on_step: Optional[StepHook] = None,
 ) -> RunResult:
     """Random balanced start, then passes while they improve the cut."""
-    rng = random.Random(cfg.seed)
-    started = time.perf_counter()
-    p = random_initial_partition(h, rng)
-    initial_cut = p.cut_count
-    passes = repeat_passes(p, cfg.max_passes, lambda: fm_pass(h, p, cfg, rng, on_step=on_step))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return RunResult(label, "fm", cfg.seed, initial_cut, p.cut_count, passes, elapsed_ms, tuple(p.side))
+    return run_passes(h, cfg, "fm", fm_pass, label, on_step)

@@ -21,7 +21,10 @@ class Hypergraph:
     nets: tuple[tuple[int, ...], ...]
     cell_nets: tuple[tuple[int, ...], ...]
     max_cell_degree: int
-    net_count: int
+
+    @property
+    def net_count(self) -> int:
+        return len(self.nets)
 
     @property
     def pin_count(self) -> int:
@@ -53,7 +56,6 @@ def build(net_pin_lists: Iterable[Sequence[int]], cell_count: int) -> Hypergraph
         nets=tuple(nets),
         cell_nets=tuple(tuple(ns) for ns in cell_nets),
         max_cell_degree=max((len(ns) for ns in cell_nets), default=0),
-        net_count=len(nets),
     )
 
 

@@ -19,20 +19,22 @@ class NetlistFormatError(ValueError):
 
 @dataclass
 class NetlistDocument:
-    """Parsed netlist: header metadata, deduplicated nets, and the name table."""
+    """Parsed netlist: deduplicated nets, cell names by id, the IBM pad
+    offset, and how many repeated pins the nets dropped."""
 
-    declared_pin_count: int
-    declared_net_count: int
-    declared_module_count: int
-    pad_offset: int
     nets: list[tuple[int, ...]]
     cell_names: list[str]
-    name_to_id: dict[str, int]
+    pad_offset: int = 0
     duplicate_pins: int = 0
 
     @property
     def cell_count(self) -> int:
         return len(self.cell_names)
+
+    @property
+    def declared_pin_count(self) -> int:
+        """Pins as the input listed them, repeats included."""
+        return sum(map(len, self.nets)) + self.duplicate_pins
 
     def to_hypergraph(self) -> Hypergraph:
         return build(self.nets, self.cell_count)
@@ -132,9 +134,7 @@ def parse_ibm_net(data: Union[bytes, str], dialect: str = "net") -> NetlistDocum
         raise NetlistFormatError(
             f"header declares {module_count} modules but the pin lines name {len(names)} cells"
         )
-    return NetlistDocument(
-        pin_count, net_count, module_count, pad_offset, nets, names, ids, duplicates,
-    )
+    return NetlistDocument(nets, names, pad_offset, duplicates)
 
 
 def parse_hgr(data: Union[bytes, str]) -> NetlistDocument:
@@ -157,7 +157,6 @@ def parse_hgr(data: Union[bytes, str]) -> NetlistDocument:
         )
     nets: list[tuple[int, ...]] = []
     duplicates = 0
-    pin_total = 0
     for k, raw in enumerate(body):
         pins: list[int] = []
         seen: set[int] = set()
@@ -171,18 +170,13 @@ def parse_hgr(data: Union[bytes, str]) -> NetlistDocument:
                 raise NetlistFormatError(
                     f"net line {k + 1}: cell id {v} out of range 1..{cell_count}"
                 )
-            pin_total += 1
             if v - 1 in seen:
                 duplicates += 1
             else:
                 seen.add(v - 1)
                 pins.append(v - 1)
         nets.append(tuple(pins))
-    names = [str(i + 1) for i in range(cell_count)]
-    return NetlistDocument(
-        pin_total, net_count, cell_count, 0,
-        nets, names, {nm: i for i, nm in enumerate(names)}, duplicates,
-    )
+    return NetlistDocument(nets, [str(i + 1) for i in range(cell_count)], duplicate_pins=duplicates)
 
 
 def write_partition(doc: NetlistDocument, p: Partition, out) -> None:
@@ -199,13 +193,14 @@ def write_partition(doc: NetlistDocument, p: Partition, out) -> None:
 
 def read_partition(doc: NetlistDocument, data: Union[bytes, str]) -> list[int]:
     """Read a file produced by write_partition back into a side vector."""
+    ids = {name: i for i, name in enumerate(doc.cell_names)}
     side: list = [None] * doc.cell_count
     count = 0
     for k, raw in enumerate(ln for ln in _text(data).splitlines() if ln.strip()):
         toks = raw.split()
         if len(toks) != 2 or toks[1] not in ("0", "1"):
             raise NetlistFormatError(f"partition line {k + 1}: expected '<name> <0|1>'")
-        cid = doc.name_to_id.get(toks[0])
+        cid = ids.get(toks[0])
         if cid is None:
             raise NetlistFormatError(f"partition line {k + 1}: unknown cell {toks[0]!r}")
         if side[cid] is not None:

@@ -10,40 +10,25 @@ from __future__ import annotations
 
 import heapq
 import random
-import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, repeat_passes
+from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, run_passes
 from .gains import Buckets, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition
-from .synth import random_balanced_sides
 
 
-@dataclass(frozen=True)
-class PaddedHypergraph:
-    """Working graph with an isolated filler cell appended when |V| is odd."""
-
-    graph: Hypergraph
-    dummy: Optional[int]
-
-    @property
-    def half_size(self) -> int:
-        return self.graph.cell_count // 2
-
-
-def pad_dummy(h: Hypergraph) -> PaddedHypergraph:
-    """Append a degree-zero cell when the cell count is odd.
+def pad_dummy(h: Hypergraph) -> Hypergraph:
+    """h with a degree-zero cell appended when its cell count is odd, else h.
 
     The filler lies on no net, so any assignment scores the same cut on the
     padded graph as on the original cells; it is stripped from reported
     partitions.
     """
     if h.cell_count % 2 == 0:
-        return PaddedHypergraph(h, None)
-    # nets, net count and maximum degree are those of h
-    padded = replace(h, cell_count=h.cell_count + 1, cell_nets=h.cell_nets + ((),))
-    return PaddedHypergraph(padded, h.cell_count)
+        return h
+    # nets and maximum degree are those of h
+    return replace(h, cell_count=h.cell_count + 1, cell_nets=h.cell_nets + ((),))
 
 
 def correct_term(h: Hypergraph, p: Partition, u: int, v: int) -> int:
@@ -152,7 +137,7 @@ def best_pair(
 
 
 def variant_pass(
-    ph: PaddedHypergraph,
+    h: Hypergraph,
     p: Partition,
     cfg: FmConfig,
     rng: random.Random,
@@ -163,10 +148,10 @@ def variant_pass(
 
     Every step moves one cell each way, so all prefixes are balanced and
     eligible for rollback. cfg.tie_policy orders equal-gain cells in the
-    pair search, and so decides between equally good pairs.
+    pair search, and so decides between equally good pairs. h needs an even
+    cell count (see pad_dummy) and p two blocks of half of it each.
     """
-    h = ph.graph
-    m = ph.half_size
+    m = h.cell_count // 2
     if p.block_size[B1] != m or p.block_size[B2] != m:
         raise ValueError("pairwise pass needs equal block sizes")
     buckets = init(h, p, cfg.tie_policy)
@@ -195,15 +180,8 @@ def variant_run(
     on_step: Optional[StepHook] = None,
 ) -> RunResult:
     """Pad to an even cell count, start from a random equal split, and run
-    swap passes while they improve the cut. Cuts are reported on the
-    original cells; the filler never touches a net, so the numbers agree."""
-    rng = random.Random(cfg.seed)
-    started = time.perf_counter()
-    ph = pad_dummy(h)
-    # the padded count is even, so the split is exactly half and half
-    p = Partition.from_sides(ph.graph, random_balanced_sides(rng, ph.graph.cell_count))
-    initial_cut = p.cut_count
-    passes = repeat_passes(p, cfg.max_passes, lambda: variant_pass(ph, p, cfg, rng, on_step=on_step))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    final = tuple(p.side[: h.cell_count])
-    return RunResult(label, "fm_variant", cfg.seed, initial_cut, p.cut_count, passes, elapsed_ms, final)
+    swap passes while they improve the cut. The row reports the sides of
+    the original cells only; the filler never touches a net, so the cuts
+    agree."""
+    row = run_passes(pad_dummy(h), cfg, "fm_variant", variant_pass, label, on_step)
+    return replace(row, final_side=row.final_side[: h.cell_count])

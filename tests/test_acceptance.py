@@ -136,18 +136,18 @@ def test_criterion_05_never_worsen_and_rollback_replay():
         assert replay == p
         # pairwise pass
         ph = pad_dummy(h)
-        ids = list(range(ph.graph.cell_count))
+        ids = list(range(ph.cell_count))
         rng.shuffle(ids)
-        side = [B2] * ph.graph.cell_count
-        for c in ids[: ph.half_size]:
+        side = [B2] * ph.cell_count
+        for c in ids[: ph.cell_count // 2]:
             side[c] = B1
-        q = Partition.from_sides(ph.graph, side)
+        q = Partition.from_sides(ph, side)
         qstart = q.clone()
         qtrace = variant_pass(ph, q, FmConfig(seed=6), rng)
         assert q.cut_count <= qstart.cut_count
         qreplay = qstart.clone()
         for c in qtrace.steps[: qtrace.best_prefix]:
-            apply_move(qreplay, ph.graph, c)
+            apply_move(qreplay, ph, c)
         assert qreplay == q
         passes += 2
     report(5, "never-worsen and exact rollback replay", True, f"({passes} passes)")
@@ -269,18 +269,18 @@ def test_criterion_09_scaling_trends():
             rng = random.Random(master * 10_000 + r)
             h = random_hypergraph(rng, cells, nets, 2, 6)
             ph = pad_dummy(h)
-            ids = list(range(ph.graph.cell_count))
+            ids = list(range(ph.cell_count))
             rng.shuffle(ids)
-            side = [B2] * ph.graph.cell_count
-            for c in ids[: ph.half_size]:
+            side = [B2] * ph.cell_count
+            for c in ids[: ph.cell_count // 2]:
                 side[c] = B1
-            p = Partition.from_sides(ph.graph, side)
-            state = init(ph.graph, p)
+            p = Partition.from_sides(ph, side)
+            state = init(ph, p)
             sel = selection_state(state)
-            best_pair(sel, ph.graph, p, rng)
+            best_pair(sel, ph, p, rng)
             total += sel.pair_gain_evals
             bound_ok &= sel.pair_gain_evals <= max(h.max_cell_degree, 1) ** 2
-            bound_ok &= sel.pair_gain_evals <= ph.half_size ** 2
+            bound_ok &= sel.pair_gain_evals <= (ph.cell_count // 2) ** 2
         return total / reps, bound_ok
 
     sizes = (60, 120, 240)

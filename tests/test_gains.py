@@ -276,9 +276,8 @@ class TestPartitionAfterEveryMove:
         moved = self.check_every_move(monkeypatch, fmpart.pairwise)
         rng = random.Random(19)
         for _ in range(30):
-            ph = pad_dummy(random_hypergraph(rng, rng.randint(1, 40), rng.randint(0, 80), 1, 6))
-            h = ph.graph
+            h = pad_dummy(random_hypergraph(rng, rng.randint(1, 40), rng.randint(0, 80), 1, 6))
             p = Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
             moved.clear()
-            variant_pass(ph, p, FmConfig(seed=2, tie_policy=policy), rng)
+            variant_pass(h, p, FmConfig(seed=2, tie_policy=policy), rng)
             assert sorted(moved) == list(range(h.cell_count))

@@ -41,8 +41,8 @@ class TestParseIbm:
     def test_basic_net(self):
         doc = parse_ibm_net(IBM_NET, dialect="net")
         assert doc.declared_pin_count == 4
-        assert doc.declared_net_count == 2
-        assert doc.declared_module_count == 3
+        assert len(doc.nets) == 2
+        assert doc.cell_count == 3
         assert doc.pad_offset == 0
         assert doc.cell_names == ["a0", "a1", "a2"]
         assert doc.nets == [(0, 1), (2, 0)]
@@ -148,13 +148,8 @@ class TestParseHgr:
 class TestPartitionIo:
     def _doc(self):
         return NetlistDocument(
-            declared_pin_count=7,
-            declared_net_count=3,
-            declared_module_count=5,
-            pad_offset=0,
             nets=[(3, 4), (2, 4), (0, 1, 4)],
             cell_names=["c1", "c2", "c3", "c4", "c5"],
-            name_to_id={f"c{i + 1}": i for i in range(5)},
         )
 
     def test_write_fixture_bytes(self):
@@ -165,7 +160,7 @@ class TestPartitionIo:
         assert out.getvalue() == b"c1 1\nc2 1\nc3 0\nc4 0\nc5 0\n"
 
     def test_empty_document_writes_nothing(self):
-        doc = NetlistDocument(0, 0, 0, 0, [], [], {})
+        doc = NetlistDocument([], [])
         p = Partition.from_sides(doc.to_hypergraph(), [])
         out = io.BytesIO()
         write_partition(doc, p, out)

@@ -36,21 +36,20 @@ def all_gains(h, p):
 class TestPadDummy:
     def test_odd_count_gets_isolated_filler(self, h_star):
         ph = pad_dummy(h_star)
-        assert ph.graph.cell_count == 6
-        assert ph.dummy == 5
-        assert ph.half_size == 3
-        assert ph.graph.cell_nets[5] == ()
+        assert ph.cell_count == 6
+        assert ph.cell_count // 2 == 3
+        assert ph.cell_nets[:5] == h_star.cell_nets
+        assert ph.cell_nets[5] == ()
 
     def test_even_count_unchanged(self, h4):
         ph = pad_dummy(h4)
-        assert ph.graph is h4
-        assert ph.dummy is None
-        assert ph.half_size == 2
+        assert ph is h4
+        assert ph.cell_count // 2 == 2
 
     def test_cut_ignores_dummy_placement(self, h_star):
         ph = pad_dummy(h_star)
-        a = Partition.from_sides(ph.graph, [1, 1, 0, 0, 0, 0])
-        b = Partition.from_sides(ph.graph, [1, 1, 0, 0, 0, 1])
+        a = Partition.from_sides(ph, [1, 1, 0, 0, 0, 0])
+        b = Partition.from_sides(ph, [1, 1, 0, 0, 0, 1])
         assert a.cut_count == b.cut_count == 1
 
 
@@ -63,8 +62,7 @@ class TestPadDummy:
             rng.shuffle(nets)
             h = build(nets, n)
             ph = pad_dummy(h)
-            assert ph.dummy == n
-            assert ph.graph == build(h.nets, n + 1)
+            assert ph == build(h.nets, n + 1)
 
 
 class TestCorrectTerm:
@@ -257,7 +255,7 @@ class TestVariantPass:
 
     def test_five_cell_padded_fixture(self, h_star):
         ph = pad_dummy(h_star)
-        p = Partition.from_sides(ph.graph, [0, 0, 1, 1, 1, 0])  # B1={c1,c2,D}, cut 1
+        p = Partition.from_sides(ph, [0, 0, 1, 1, 1, 0])  # B1={c1,c2,D}, cut 1
         assert p.cut_count == 1
         variant_pass(ph, p, FmConfig(seed=1), random.Random(1))
         assert p.cut_count == 1  # already optimal
@@ -278,10 +276,10 @@ class TestVariantPass:
             n = rng.choice([2, 4, 6, 8, 10, 12])
             h = random_hypergraph(rng, n, rng.randint(1, 18), 1, 6)
             ph = pad_dummy(h)
-            p = exact_balanced_partition(ph.graph, rng)
+            p = exact_balanced_partition(ph, rng)
             trace = variant_pass(ph, p, FmConfig(seed=1), rng, on_step=on_step)
-            assert len(trace.steps) == 2 * ph.half_size
-            assert sorted(trace.steps) == list(range(ph.graph.cell_count))
+            assert len(trace.steps) == 2 * (ph.cell_count // 2)
+            assert sorted(trace.steps) == list(range(ph.cell_count))
 
     def test_step_gains_are_exact_and_rollback_replays(self, monkeypatch):
         # each step's gain, as best_pair returns it, and the cut after it
@@ -298,7 +296,7 @@ class TestVariantPass:
             n = rng.choice([2, 4, 6, 8, 10, 12])
             h = random_hypergraph(rng, n, rng.randint(1, 18), 1, 6)
             ph = pad_dummy(h)
-            p = exact_balanced_partition(ph.graph, rng)
+            p = exact_balanced_partition(ph, rng)
             start = p.clone()
             before = p.cut_count
             gains.clear()
@@ -314,12 +312,12 @@ class TestVariantPass:
             for t, (gain, cut_after) in enumerate(zip(gains, cuts_after)):
                 cut_before = q.cut_count
                 for c in trace.steps[2 * t : 2 * t + 2]:
-                    apply_move(q, ph.graph, c)
+                    apply_move(q, ph, c)
                 assert q.cut_count == cut_after
                 assert gain == cut_before - cut_after
             replay = start.clone()
             for c in trace.steps[: trace.best_prefix]:
-                apply_move(replay, ph.graph, c)
+                apply_move(replay, ph, c)
             assert replay == p
 
 
@@ -330,10 +328,10 @@ class TestVariantPass:
         rng = random.Random(cells)
         h = clustered_hypergraph(rng, cells, cells, cross_fraction=0.4)
         ph = pad_dummy(h)
-        p = exact_balanced_partition(ph.graph, rng)
+        p = exact_balanced_partition(ph, rng)
         trace = variant_pass(ph, p, FmConfig(seed=1, tie_policy=policy), rng)
-        assert len(trace.steps) == 2 * ph.half_size
-        assert trace.pair_gain_evals <= 4 * ph.half_size
+        assert len(trace.steps) == 2 * (ph.cell_count // 2)
+        assert trace.pair_gain_evals <= 4 * (ph.cell_count // 2)
 
 
 class TestVariantRun:

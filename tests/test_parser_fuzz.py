@@ -28,9 +28,7 @@ BIG_NET = 3_000
 def check_document(doc: NetlistDocument) -> None:
     """Everything a caller of a parser relies on."""
     n = doc.cell_count
-    assert doc.declared_module_count == n
-    assert doc.name_to_id == {name: i for i, name in enumerate(doc.cell_names)}
-    assert len(doc.nets) == doc.declared_net_count
+    assert len(set(doc.cell_names)) == n
     for net in doc.nets:
         assert len(set(net)) == len(net)
         assert all(0 <= c < n for c in net)
@@ -179,6 +177,8 @@ def test_well_formed_hgr_reads_back(case, eol):
     doc = parse_hgr(eol.join(lines).encode("utf-8"))
     check_document(doc)
     assert doc.cell_count == n
+    assert len(doc.nets) == len(nets)
+    assert doc.declared_pin_count == sum(map(len, nets))
     assert doc.nets == deduplicated(nets, lambda c: c - 1)
 
 
@@ -188,7 +188,10 @@ def test_well_formed_ibm_reads_back(case, eol):
     dialect, lines, nets = case
     doc = parse_ibm_net(eol.join(lines).encode("utf-8"), dialect=dialect)
     check_document(doc)
-    assert doc.nets == deduplicated(nets, doc.name_to_id.__getitem__)
+    assert doc.declared_pin_count == int(lines[1])
+    assert len(doc.nets) == int(lines[2])
+    assert doc.cell_count == int(lines[3])
+    assert doc.nets == deduplicated(nets, doc.cell_names.index)
 
 
 @FUZZ

@@ -14,7 +14,8 @@ from fmpart.synth import clustered_hypergraph
 
 # Peak bytes per cell of one pass on the instance below: about 304 when every
 # step kept a record of its cells, cut and size difference, about 131 with
-# the flat log of moved cells.
+# the flat log of moved cells, about 93 once rollback no longer builds a set
+# of that log.
 MAX_PASS_BYTES_PER_CELL = 200
 
 
