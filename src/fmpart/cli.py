@@ -18,12 +18,16 @@ from .fm import FmConfig, RunResult, fm_run
 from .gains import TIE_POLICIES
 from .hypergraph import Hypergraph
 from .netlist_io import NetlistDocument, NetlistFormatError, parse_hgr, parse_ibm_net
-from .oracle import MAX_ORACLE_CELLS, exact_min_cut_balanced
+from .oracle import exact_min_cut_balanced
 from .pairwise import variant_run
 
 ROW_FIELDS = ("file", "algorithm", "seed", "initial_cut", "optimal_cut", "passes", "elapsed_ms")
 SUMMARY_FIELDS = ("file", "fm_best", "variant_best", "gain_mu")
 FORMATS = ("netd", "net", "hgr", "auto")
+# the row name of each algorithm and the run that makes its rows
+RUNNERS = {"fm": fm_run, "fm_variant": variant_run}
+# each --algo choice and the algorithms it runs
+ALGO_CHOICES = {"fm": ["fm"], "variant": ["fm_variant"], "fm_variant": ["fm_variant"], "both": list(RUNNERS)}
 JOBS_ENV_VAR = "PARTITION_JOBS"
 DEFAULT_SEED_COUNT = 10
 
@@ -68,8 +72,7 @@ class TaskFailure:
 
 def _execute(task):
     label, algo, h, cfg = task
-    runner = fm_run if algo == "fm" else variant_run
-    return runner(h, cfg, label=label)
+    return RUNNERS[algo](h, cfg, label=label)
 
 
 def _failure(task, exc: Exception) -> TaskFailure:
@@ -99,10 +102,10 @@ def run_experiment(
 ) -> tuple[list[RunResult], list[ExperimentRow]]:
     """Cross product of entries x algorithms x seeds with deterministic row order.
 
-    entries are (label, hypergraph) pairs; algorithms use the row names
-    "fm" and "fm_variant". The summary takes the best (minimum) optimal cut
-    per algorithm across seeds for each entry. Each task runs cfg with its
-    own seed in place of cfg.seed.
+    entries are (label, hypergraph) pairs; algorithms are keys of RUNNERS,
+    and any other name raises ValueError before a task runs. The summary
+    takes the best (minimum) optimal cut per algorithm across seeds for each
+    entry. Each task runs cfg with its own seed in place of cfg.seed.
 
     Without a failures list, a task that raises ends the call with its
     exception. With one, each such task is appended to it as a TaskFailure,
@@ -111,6 +114,9 @@ def run_experiment(
     every task that had not returned by then becomes a TaskFailure and the
     rows of the tasks that had are kept.
     """
+    unknown = [a for a in algorithms if a not in RUNNERS]
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}, expected one of {', '.join(RUNNERS)}")
     tasks = [
         (label, algo, h, replace(cfg, seed=seed))
         for label, h in entries
@@ -143,13 +149,11 @@ def run_experiment(
             rows.append(outcome)
     summary = []
     for label, _h in entries:
-        best: dict[str, int] = {}
-        for r in rows:
-            if r.label == label:
-                cur = best.get(r.algorithm)
-                best[r.algorithm] = r.optimal_cut if cur is None else min(cur, r.optimal_cut)
-        fm_best = best.get("fm")
-        variant_best = best.get("fm_variant")
+        # RUNNERS lists fm, then fm_variant
+        fm_best, variant_best = (
+            min((r.optimal_cut for r in rows if r.label == label and r.algorithm == algo), default=None)
+            for algo in RUNNERS
+        )
         value = None
         if fm_best is not None and variant_best is not None and fm_best > 0:
             value = gain_mu(fm_best, variant_best)
@@ -238,16 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run algorithms over netlists and emit CSV results")
-    run.add_argument("--input", nargs="+", required=True, help="netlist files")
-    run.add_argument("--format", choices=FORMATS, default="auto")
-    run.add_argument("--algo", choices=("fm", "variant", "fm_variant", "both"), default="both")
-    run.add_argument(
+    # the flags run and verify share
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--input", nargs="+", required=True, help="netlist files")
+    runs.add_argument("--format", choices=FORMATS, default="auto")
+    runs.add_argument(
         "--seeds", type=parse_seed_spec, default=list(range(1, DEFAULT_SEED_COUNT + 1)),
         help="comma-separated seed list, or a count N meaning seeds 1..N (default 10)",
     )
-    run.add_argument("--max-passes", type=positive_int, default=100)
-    run.add_argument("--tie", choices=TIE_POLICIES, default="random")
+    runs.add_argument("--max-passes", type=positive_int, default=FmConfig.max_passes)
+    runs.add_argument("--tie", choices=TIE_POLICIES, default=FmConfig.tie_policy)
+
+    run = sub.add_parser("run", parents=[runs], help="run algorithms over netlists and emit CSV results")
+    run.add_argument("--algo", choices=ALGO_CHOICES, default="both")
     run.add_argument(
         "--jobs", type=positive_int, default=None,
         help=f"parallel workers (default ${JOBS_ENV_VAR} or 1)",
@@ -255,12 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default=None, help="per-run rows (default: stdout)")
     run.add_argument("--summary", default=None, help="per-file best-of-seeds summary")
 
-    ver = sub.add_parser("verify", help="cross-check both algorithms against the exact oracle")
-    ver.add_argument("--input", nargs="+", required=True)
-    ver.add_argument("--format", choices=FORMATS, default="auto")
-    ver.add_argument("--seeds", type=parse_seed_spec, default=list(range(1, DEFAULT_SEED_COUNT + 1)))
-    ver.add_argument("--max-passes", type=positive_int, default=100)
-    ver.add_argument("--tie", choices=TIE_POLICIES, default="random")
+    sub.add_parser("verify", parents=[runs], help="cross-check both algorithms against the exact oracle")
 
     st = sub.add_parser("stats", help="print cells, nets, pins and max degree")
     st.add_argument("--input", required=True)
@@ -288,9 +290,7 @@ def _report_failures(failures: Sequence[TaskFailure]) -> None:
 
 def _cmd_run(args, jobs: int) -> int:
     entries, failed = _load_entries(args.input, args.format)
-    algorithms = {
-        "fm": ["fm"], "variant": ["fm_variant"], "fm_variant": ["fm_variant"], "both": ["fm", "fm_variant"],
-    }[args.algo]
+    algorithms = ALGO_CHOICES[args.algo]
     cfg = FmConfig(seed=1, tie_policy=args.tie, max_passes=args.max_passes)
     failures: list[TaskFailure] = []
     rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs, failures=failures)
@@ -316,13 +316,14 @@ def _cmd_verify(args) -> int:
         return 1
     cfg = FmConfig(tie_policy=args.tie, max_passes=args.max_passes)
     for label, h in entries:
-        if h.cell_count > MAX_ORACLE_CELLS:
-            print(f"error: {label}: too large for the oracle ({h.cell_count} cells)", file=sys.stderr)
+        try:
+            optimum = exact_min_cut_balanced(h).optimum_cut
+        except ValueError as exc:
+            print(f"error: {label}: {exc}", file=sys.stderr)
             failed = True
             continue
-        optimum = exact_min_cut_balanced(h, "off_by_one").optimum_cut
         failures: list[TaskFailure] = []
-        _rows, (best,) = run_experiment([(label, h)], ("fm", "fm_variant"), args.seeds, cfg, failures=failures)
+        _rows, (best,) = run_experiment([(label, h)], ALGO_CHOICES["both"], args.seeds, cfg, failures=failures)
         if failures:
             _report_failures(failures)
             failed = True

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 from .gains import TIE_POLICIES, Buckets, init, move_and_update, select_max
 from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
-from .synth import random_balanced_sides
 
 # Called after every step of a pass with the live buckets, the partition and
 # the pass's log of moved cells so far (two cells per swap step).
@@ -67,7 +66,16 @@ class RunResult:
 
 def random_initial_partition(h: Hypergraph, rng: random.Random) -> Partition:
     """Uniformly random assignment with block sizes differing by at most one."""
-    return Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+    n = h.cell_count
+    ids = list(range(n))
+    rng.shuffle(ids)
+    b1 = n // 2
+    if n % 2:
+        b1 += rng.randrange(2)
+    side = [B2] * n
+    for c in ids[:b1]:
+        side[c] = B1
+    return Partition.from_sides(h, side)
 
 
 def _source_block(buckets: Buckets, p: Partition) -> Optional[int]:

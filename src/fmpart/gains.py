@@ -46,7 +46,7 @@ class GainBucket:
         "anchor", "nxt", "prv", "bags", "bag_pos",
     )
 
-    def __init__(self, cell_count: int, span: int, policy: str = "lifo"):
+    def __init__(self, cell_count: int, span: int, policy: str):
         if policy not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {policy!r}")
         self.span = span
@@ -83,9 +83,6 @@ class GainBucket:
             while slot >= 0 and not bags[slot]:
                 slot -= 1
         return slot
-
-    def insert(self, cell: int, gain: int) -> None:
-        self.fill((cell,), (gain,))
 
     def fill(self, cells: Sequence[int], gains: Iterable[int]) -> None:
         """Insert cells[i] at gains[i] for each i in turn: at the head of its
@@ -300,7 +297,7 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     return g
 
 
-def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> Buckets:
+def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
     both built for tie_policy (see GainBucket); the pair is the pass state.
 
@@ -308,9 +305,10 @@ def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> Buckets:
     them: an uncut net with two or more pins lowers each of its pins, and in
     a cut net the lone pin of a side holding one pin gains one.
     """
+    n = h.cell_count
     span = h.max_cell_degree
-    buckets = (GainBucket(h.cell_count, span, tie_policy), GainBucket(h.cell_count, span, tie_policy))
-    gain = [0] * h.cell_count
+    buckets = (GainBucket(n, span, tie_policy), GainBucket(n, span, tie_policy))
+    gain = [0] * n
     side = p.side
     for pins, (a, b) in zip(h.nets, p.net_occupancy):
         if a and b:
@@ -328,7 +326,7 @@ def init(h: Hypergraph, p: Partition, tie_policy: str = "lifo") -> Buckets:
             for x in pins:
                 gain[x] -= 1
     for blk in (B1, B2):
-        cells = [c for c in range(h.cell_count) if side[c] == blk]
+        cells = [c for c in range(n) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
     return buckets
 

@@ -15,12 +15,21 @@ B2 = 1
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Immutable pin structure; safe to share between runs and threads."""
+    """Immutable pin structure; safe to share between runs and threads.
 
-    cell_count: int
+    Stores the pins of each net and the nets of each cell; every size is
+    read off these two tables."""
+
     nets: tuple[tuple[int, ...], ...]
     cell_nets: tuple[tuple[int, ...], ...]
-    max_cell_degree: int
+
+    @property
+    def cell_count(self) -> int:
+        return len(self.cell_nets)
+
+    @property
+    def max_cell_degree(self) -> int:
+        return max(map(len, self.cell_nets), default=0)
 
     @property
     def net_count(self) -> int:
@@ -51,12 +60,7 @@ def build(net_pin_lists: Iterable[Sequence[int]], cell_count: int) -> Hypergraph
                 raise ValueError(f"net {net_id}: duplicate pin {c}")
             cell_nets[c].append(net_id)
         nets.append(tuple(pins))
-    return Hypergraph(
-        cell_count=cell_count,
-        nets=tuple(nets),
-        cell_nets=tuple(tuple(ns) for ns in cell_nets),
-        max_cell_degree=max((len(ns) for ns in cell_nets), default=0),
-    )
+    return Hypergraph(tuple(nets), tuple(tuple(ns) for ns in cell_nets))
 
 
 @dataclass

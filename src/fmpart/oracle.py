@@ -64,10 +64,9 @@ def _indicators(bits: int, shift: int, masks: np.ndarray, targets: np.ndarray, d
 
 
 def exact_min_cut_balanced(h: Hypergraph, balance: str = "off_by_one") -> OracleResult:
-    """Exact minimum over all bipartitions meeting the balance constraint.
-
-    balance is "exact_halves" (even cell counts only) or "off_by_one"
-    (sizes differ by at most one). Cell 0 is pinned to the first block,
+    """Exact minimum over all bipartitions whose block sizes differ by at
+    most one (equal halves on an even cell count); balance must name that
+    rule, "off_by_one". Cell 0 is pinned to the first block,
     which halves the search space without losing optima since the cut is
     symmetric under block relabeling; the returned witness is the
     lexicographically first optimal side vector.
@@ -82,10 +81,8 @@ def exact_min_cut_balanced(h: Hypergraph, balance: str = "off_by_one") -> Oracle
     n = h.cell_count
     if n > MAX_ORACLE_CELLS:
         raise ValueError(f"instance too large for enumeration ({n} > {MAX_ORACLE_CELLS} cells)")
-    if balance not in ("exact_halves", "off_by_one"):
+    if balance != "off_by_one":
         raise ValueError(f"unknown balance constraint {balance!r}")
-    if balance == "exact_halves" and n % 2:
-        raise ValueError("exact_halves needs an even cell count")
     if n == 0:
         return OracleResult(0, Partition.from_sides(h, []))
     import numpy as np
@@ -118,7 +115,7 @@ def exact_min_cut_balanced(h: Hypergraph, balance: str = "off_by_one") -> Oracle
     lo, lo_order, lo_start = _indicators(lo_bits, 0, masks, targets, dtype)
 
     best = None  # (cut, mask)
-    # B2 sizes allowed; exact_halves takes only even n, where both rules mean n/2
+    # B2 sizes allowed: n/2 for even n, either side of it for odd n
     for size in sorted({n // 2, (n + 1) // 2}):
         for a in range(max(0, size - lo_bits), min(hi_bits, size) + 1):
             b = size - a

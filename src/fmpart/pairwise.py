@@ -27,8 +27,7 @@ def pad_dummy(h: Hypergraph) -> Hypergraph:
     """
     if h.cell_count % 2 == 0:
         return h
-    # nets and maximum degree are those of h
-    return replace(h, cell_count=h.cell_count + 1, cell_nets=h.cell_nets + ((),))
+    return replace(h, cell_nets=h.cell_nets + ((),))
 
 
 def correct_term(h: Hypergraph, p: Partition, u: int, v: int) -> int:

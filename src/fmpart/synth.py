@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .hypergraph import B1, B2, Hypergraph, build
+from .hypergraph import Hypergraph, build
 
 
 def random_hypergraph(
@@ -45,16 +45,3 @@ def clustered_hypergraph(
             g = groups[rng.randrange(2)]
             nets.append(rng.sample(g, min(k, len(g))))
     return build(nets, cell_count)
-
-
-def random_balanced_sides(rng: random.Random, cell_count: int) -> list[int]:
-    """Side vector with block sizes differing by at most one."""
-    ids = list(range(cell_count))
-    rng.shuffle(ids)
-    b1 = cell_count // 2
-    if cell_count % 2:
-        b1 += rng.randrange(2)
-    side = [B2] * cell_count
-    for c in ids[:b1]:
-        side[c] = B1
-    return side

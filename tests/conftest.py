@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from fmpart.fm import random_initial_partition
 from fmpart.hypergraph import B1, Partition, build
-from fmpart.synth import random_balanced_sides
 
 # the five-cell three-net fixture used throughout: c1..c5 are ids 0..4,
 # nets {c4,c5}, {c3,c5}, {c1,c2,c5}
@@ -49,7 +49,7 @@ def hypergraph_with_partition(draw, **kwargs):
 
 
 def balanced_partition(h, rng: random.Random) -> Partition:
-    return Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+    return random_initial_partition(h, rng)
 
 
 def bucket_gains(buckets) -> list:

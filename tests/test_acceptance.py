@@ -103,7 +103,7 @@ def test_criterion_04_best_pair_matches_exhaustive_enumeration():
         side = [B1] * (n // 2) + [B2] * (n - n // 2)
         rng.shuffle(side)
         p = Partition.from_sides(h, side)
-        state = init(h, p)
+        state = init(h, p, "lifo")
         sel = selection_state(state)
         u, v, _ = best_pair(sel, h, p, rng)
         gains = bucket_gains(state)
@@ -275,7 +275,7 @@ def test_criterion_09_scaling_trends():
             for c in ids[: ph.cell_count // 2]:
                 side[c] = B1
             p = Partition.from_sides(ph, side)
-            state = init(ph, p)
+            state = init(ph, p, "lifo")
             sel = selection_state(state)
             best_pair(sel, ph, p, rng)
             total += sel.pair_gain_evals

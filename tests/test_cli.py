@@ -97,6 +97,16 @@ class TestRunExperiment:
         assert (row.fm_best, row.variant_best) == (1, 1)
         assert format_gain_mu(row.gain_mu) == "0.00"
 
+    def test_unknown_algorithm_rejected_before_any_task(self, monkeypatch):
+        h = parse_hgr(FIVE_CELL_HGR).to_hypergraph()
+        ran = []
+        monkeypatch.setattr(cli, "_execute", ran.append)
+        with pytest.raises(ValueError, match="'FM', expected one of fm, fm_variant"):
+            run_experiment([("x", h)], ["FM", "quantum"], [1], FmConfig())
+        with pytest.raises(ValueError, match="'quantum'"):
+            run_experiment([("x", h)], ["fm", "quantum"], [1], FmConfig(), failures=[])
+        assert ran == []
+
     def test_zero_reference_cut_flagged(self, fixture_files):
         _, quad = fixture_files
         h = load_document(str(quad)).to_hypergraph()

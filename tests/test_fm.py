@@ -15,7 +15,7 @@ from fmpart.gains import GainBucket
 from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 from fmpart.oracle import exact_min_cut_balanced
 from fmpart.pairwise import pad_dummy, variant_pass
-from fmpart.synth import random_balanced_sides, random_hypergraph
+from fmpart.synth import random_hypergraph
 
 
 class TestConfig:
@@ -215,7 +215,7 @@ class TestRollbackToPrefix:
                 moved = fm_pass(h, start.clone(), FmConfig(seed=5), rng).steps
             else:
                 h = pad_dummy(g)
-                start = Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+                start = random_initial_partition(h, rng)
                 moved = variant_pass(h, start.clone(), FmConfig(seed=5), rng).steps
             for keep in range(0, len(moved) + 1, unit):
                 flips = self.rolled_back(monkeypatch, h, start, moved, keep)

@@ -5,12 +5,12 @@ import pytest
 import fmpart.fm
 import fmpart.pairwise
 from conftest import C1, C2, C3, C4, C5, balanced_partition, bucket_gains
-from fmpart.fm import FmConfig, fm_pass
+from fmpart.fm import FmConfig, fm_pass, random_initial_partition
 from fmpart.gains import TIE_POLICIES, GainBucket, audit, compute_gain, init, move_and_update, select_max
 from fmpart.hypergraph import B1, B2, Partition, build, cut_count
 from fmpart.oracle import delta_cut_move
 from fmpart.pairwise import pad_dummy, variant_pass
-from fmpart.synth import random_balanced_sides, random_hypergraph
+from fmpart.synth import random_hypergraph
 
 
 class TestComputeGain:
@@ -36,7 +36,7 @@ class TestComputeGain:
 
 class TestInit:
     def test_fixture_state(self, h_star, p_star):
-        st = init(h_star, p_star)
+        st = init(h_star, p_star, "lifo")
         assert bucket_gains(st) == [0, 0, -1, -1, -1]  # no cell locked
         assert st[B1].max_gain() == -1
         assert st[B2].max_gain() == 0
@@ -45,7 +45,7 @@ class TestInit:
     def test_empty_hypergraph(self):
         h = build([], 0)
         p = Partition.from_sides(h, [])
-        st = init(h, p)
+        st = init(h, p, "lifo")
         assert st[B1].max_gain() is None
         assert st[B2].max_gain() is None
 
@@ -55,7 +55,7 @@ class TestInit:
             n = rng.randint(1, 12)
             h = random_hypergraph(rng, n, rng.randint(0, 16), 1, 6)
             p = balanced_partition(h, rng)
-            audit(init(h, p), h, p)
+            audit(init(h, p, "lifo"), h, p)
 
 
     def test_one_sweep_equals_compute_gain_under_every_policy(self):
@@ -81,7 +81,7 @@ class TestInit:
 
 class TestMoveAndUpdate:
     def test_neighbor_gains_after_hub_move(self, h_star, p_star):
-        st = init(h_star, p_star)
+        st = init(h_star, p_star, "lifo")
         assert move_and_update(st, h_star, p_star, C5) == -1
         gains = bucket_gains(st)
         assert gains[C4] == 1  # its pair net became cut with c4 alone on B1
@@ -94,14 +94,14 @@ class TestMoveAndUpdate:
     def test_isolated_move_changes_no_neighbor(self):
         h = build([[0, 1]], 3)
         p = Partition.from_sides(h, [0, 1, 0])
-        st = init(h, p)
+        st = init(h, p, "lifo")
         before = bucket_gains(st)[:2]
         assert move_and_update(st, h, p, 2) == 0
         assert bucket_gains(st) == before + [None]
         audit(st, h, p)
 
     def test_locked_move_rejected(self, h_star, p_star):
-        st = init(h_star, p_star)
+        st = init(h_star, p_star, "lifo")
         move_and_update(st, h_star, p_star, C5)
         with pytest.raises(ValueError, match="locked"):
             move_and_update(st, h_star, p_star, C5)
@@ -112,7 +112,7 @@ class TestMoveAndUpdate:
             n = rng.randint(1, 12)
             h = random_hypergraph(rng, n, rng.randint(0, 18), 1, 6)
             p = balanced_partition(h, rng)
-            st = init(h, p)
+            st = init(h, p, "lifo")
             order = list(range(n))
             rng.shuffle(order)
             for moves, c in enumerate(order, start=1):
@@ -129,7 +129,7 @@ class TestMoveAndUpdate:
             n = rng.randint(2, 12)
             h = random_hypergraph(rng, n, rng.randint(1, 18), 1, 6)
             p = balanced_partition(h, rng)
-            st = init(h, p)
+            st = init(h, p, "lifo")
             bound = h.max_cell_degree
             assert all(abs(g) <= bound for g in bucket_gains(st))
             order = list(range(n))
@@ -179,9 +179,7 @@ class TestGainBucket:
     @STRUCTURES
     def test_max_pointer_falls_back_on_drain(self, policy):
         b = GainBucket(4, span=3, policy=policy)
-        b.insert(0, 2)
-        b.insert(1, 2)
-        b.insert(2, -1)
+        b.fill((0, 1, 2), (2, 2, -1))
         assert b.max_gain() == 2
         b.remove(0)
         assert b.max_gain() == 2
@@ -196,10 +194,8 @@ class TestGainBucket:
     def test_relocate_keeps_links_consistent(self, policy):
         rng = random.Random(17)
         b = GainBucket(10, span=5, policy=policy)
-        gains = {}
-        for c in range(10):
-            gains[c] = rng.randint(-5, 5)
-            b.insert(c, gains[c])
+        gains = [rng.randint(-5, 5) for _ in range(10)]
+        b.fill(range(10), gains)
         for _ in range(200):
             c = rng.randrange(10)
             gains[c] = rng.randint(-5, 5)
@@ -218,20 +214,20 @@ class TestGainBucket:
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_relocate_orders_cells_as_remove_then_insert(self, policy):
         # relocate is one body; the order it leaves must be the one that
-        # remove followed by insert leaves, slot by slot
+        # remove followed by a one-cell fill leaves, slot by slot
         rng = random.Random(18)
         one = GainBucket(12, span=4, policy=policy)
         two = GainBucket(12, span=4, policy=policy)
         for c in range(12):
             g = rng.randint(-4, 4)
-            one.insert(c, g)
-            two.insert(c, g)
+            one.fill((c,), (g,))
+            two.fill((c,), (g,))
         for _ in range(300):
             c = rng.randrange(12)
             g = rng.randint(-4, 4)
             one.relocate(c, g)
             two.remove(c)
-            two.insert(c, g)
+            two.fill((c,), (g,))
             one.audit()
             seed = rng.random()
             assert list(one.iter_descending(random.Random(seed))) == list(
@@ -277,7 +273,7 @@ class TestPartitionAfterEveryMove:
         rng = random.Random(19)
         for _ in range(30):
             h = pad_dummy(random_hypergraph(rng, rng.randint(1, 40), rng.randint(0, 80), 1, 6))
-            p = Partition.from_sides(h, random_balanced_sides(rng, h.cell_count))
+            p = random_initial_partition(h, rng)
             moved.clear()
             variant_pass(h, p, FmConfig(seed=2, tie_policy=policy), rng)
             assert sorted(moved) == list(range(h.cell_count))

@@ -17,15 +17,13 @@ from fmpart.oracle import (
 from fmpart.synth import random_hypergraph
 
 
-def brute_force_minimum(h, balance):
+def brute_force_minimum(h):
     """Pure-itertools reference, independent of the vectorized enumeration."""
     n = h.cell_count
     best = None
     best_side = None
     for bits in itertools.product((0, 1), repeat=n):
         sizes = (bits.count(0), bits.count(1))
-        if balance == "exact_halves" and sizes[0] != sizes[1]:
-            continue
         if abs(sizes[0] - sizes[1]) > 1:
             continue
         c = cut_count(h, bits)
@@ -38,7 +36,7 @@ _POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uin
 _CHUNK = 1 << 20
 
 
-def chunked_enumeration(h, balance):
+def chunked_enumeration(h):
     """The oracle's earlier form: every mask in chunks, cut counted per net.
 
     Kept as the reference for instances too large for itertools.
@@ -69,10 +67,7 @@ def chunked_enumeration(h, balance):
         stop = min(start + _CHUNK, total)
         masks = np.arange(start, stop, dtype=np.uint32)
         pop = (_POPCOUNT16[masks & 0xFFFF] + _POPCOUNT16[masks >> 16]).astype(np.int32)
-        if balance == "exact_halves":
-            ok = pop == n // 2
-        else:
-            ok = np.abs(n - 2 * pop) <= 1
+        ok = np.abs(n - 2 * pop) <= 1
         masks = masks[ok]
         if masks.size == 0:
             continue
@@ -103,7 +98,7 @@ class TestExactMinCut:
         assert abs(res.witness.block_size[0] - res.witness.block_size[1]) <= 1
 
     def test_disjoint_pairs_reach_zero(self, h4):
-        res = exact_min_cut_balanced(h4, "exact_halves")
+        res = exact_min_cut_balanced(h4, "off_by_one")
         assert res.optimum_cut == 0
         assert res.witness.block_size == [2, 2]
 
@@ -120,18 +115,19 @@ class TestExactMinCut:
         with pytest.raises(ValueError, match="too large"):
             exact_min_cut_balanced(h, "off_by_one")
 
-    def test_exact_halves_rejects_odd(self, h_star):
-        with pytest.raises(ValueError):
-            exact_min_cut_balanced(h_star, "exact_halves")
+    def test_exact_halves_rejected(self, h4):
+        # off_by_one is the one balance rule; on an even count it already
+        # means equal halves
+        with pytest.raises(ValueError, match="unknown balance constraint 'exact_halves'"):
+            exact_min_cut_balanced(h4, "exact_halves")
 
     def test_matches_pure_python_enumeration(self):
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randint(1, 8)
             h = random_hypergraph(rng, n, rng.randint(0, 10), 1, 5)
-            for balance in ("off_by_one",) + (("exact_halves",) if n % 2 == 0 else ()):
-                want, _ = brute_force_minimum(h, balance)
-                assert exact_min_cut_balanced(h, balance).optimum_cut == want
+            want, _ = brute_force_minimum(h)
+            assert exact_min_cut_balanced(h, "off_by_one").optimum_cut == want
 
     def test_witness_is_lexicographically_first(self):
         rng = random.Random(6)
@@ -139,7 +135,7 @@ class TestExactMinCut:
             n = rng.randint(2, 8)
             h = random_hypergraph(rng, n, rng.randint(1, 10), 1, 4)
             res = exact_min_cut_balanced(h, "off_by_one")
-            want_cut, _ = brute_force_minimum(h, "off_by_one")
+            want_cut, _ = brute_force_minimum(h)
             candidates = [
                 bits
                 for bits in itertools.product((0, 1), repeat=n)
@@ -152,31 +148,28 @@ class TestExactMinCut:
         rng = random.Random(9)
         for n in (12, 13, 14):
             h = random_hypergraph(rng, n, 2 * n, 2, 5)
-            for balance in ("off_by_one",) + (("exact_halves",) if n % 2 == 0 else ()):
-                want, _ = brute_force_minimum(h, balance)
-                assert exact_min_cut_balanced(h, balance).optimum_cut == want
+            want, _ = brute_force_minimum(h)
+            assert exact_min_cut_balanced(h, "off_by_one").optimum_cut == want
 
     def test_matches_chunked_enumeration(self):
         rng = random.Random(10)
         for n in range(15, 23):
             h = random_hypergraph(rng, n, rng.randint(n, 3 * n), 2, rng.randint(2, 6))
-            for balance in ("off_by_one",) + (("exact_halves",) if n % 2 == 0 else ()):
-                want = chunked_enumeration(h, balance)
-                got = exact_min_cut_balanced(h, balance)
-                assert got.optimum_cut == want.optimum_cut
-                assert got.witness.side == want.witness.side
+            want = chunked_enumeration(h)
+            got = exact_min_cut_balanced(h, "off_by_one")
+            assert got.optimum_cut == want.optimum_cut
+            assert got.witness.side == want.witness.side
 
     def test_planted_optima_at_the_size_limit(self):
         n = MAX_ORACLE_CELLS
         pairs = build([[2 * i, 2 * i + 1] for i in range(n // 2)], n)
         cycle = build([[i, (i + 1) % n] for i in range(n)], n)
-        for balance in ("off_by_one", "exact_halves"):
-            res = exact_min_cut_balanced(pairs, balance)
-            assert res.optimum_cut == res.witness.cut_count == 0
-            assert res.witness.block_size == [n // 2, n // 2]
-            res = exact_min_cut_balanced(cycle, balance)
-            assert res.optimum_cut == res.witness.cut_count == 2
-            assert res.witness.block_size == [n // 2, n // 2]
+        res = exact_min_cut_balanced(pairs, "off_by_one")
+        assert res.optimum_cut == res.witness.cut_count == 0
+        assert res.witness.block_size == [n // 2, n // 2]
+        res = exact_min_cut_balanced(cycle, "off_by_one")
+        assert res.optimum_cut == res.witness.cut_count == 2
+        assert res.witness.block_size == [n // 2, n // 2]
 
     def test_float32_only_while_counts_are_exact(self):
         assert _count_dtype(0) is np.float32
@@ -188,15 +181,6 @@ class TestExactMinCut:
         b = exact_min_cut_balanced(h_star, "off_by_one")
         assert a.optimum_cut == b.optimum_cut
         assert a.witness == b.witness
-
-    def test_off_by_one_never_exceeds_exact_halves(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            n = rng.choice([2, 4, 6, 8, 10])
-            h = random_hypergraph(rng, n, rng.randint(0, 12), 1, 5)
-            loose = exact_min_cut_balanced(h, "off_by_one").optimum_cut
-            tight = exact_min_cut_balanced(h, "exact_halves").optimum_cut
-            assert loose == tight  # |diff| <= 1 forces equal halves when n is even
 
 
 class TestDeltas:

@@ -121,21 +121,21 @@ class TestBestPair:
     def test_single_pair(self):
         h = build([[0, 1]], 2)
         p = Partition.from_sides(h, [0, 1])
-        st = init(h, p)
+        st = init(h, p, "lifo")
         sel = selection_state(st)
         u, v, _ = best_pair(sel, h, p, random.Random(0))
         assert (u, v) == (0, 1)
 
     def test_disjoint_pairs_find_plus_two(self, h4):
         p = Partition.from_sides(h4, [0, 0, 1, 1])
-        st = init(h4, p)
+        st = init(h4, p, "lifo")
         sel = selection_state(st)
         u, v, _ = best_pair(sel, h4, p, random.Random(1))
         assert (u, v) in ((0, 3), (1, 2))
         assert pair_gain(h4, p, bucket_gains(st), u, v) == 2
 
     def test_five_cell_maximum_is_minus_one(self, h_star, p_star):
-        st = init(h_star, p_star)
+        st = init(h_star, p_star, "lifo")
         sel = selection_state(st)
         u, v, _ = best_pair(sel, h_star, p_star, random.Random(2))
         assert pair_gain(h_star, p_star, bucket_gains(st), u, v) == -1
@@ -144,7 +144,7 @@ class TestBestPair:
     def test_empty_block_rejected(self):
         h = build([], 2)
         p = Partition.from_sides(h, [0, 0])
-        st = init(h, p)
+        st = init(h, p, "lifo")
         sel = selection_state(st)
         with pytest.raises(ValueError):
             best_pair(sel, h, p, random.Random(0))
@@ -155,7 +155,7 @@ class TestBestPair:
             n = rng.choice([2, 4, 6, 8, 10, 12, 14, 16])
             h = random_hypergraph(rng, n, rng.randint(1, 24), 1, 6)
             p = exact_balanced_partition(h, rng)
-            st = init(h, p)
+            st = init(h, p, "lifo")
             sel = selection_state(st)
             u, v, _ = best_pair(sel, h, p, rng)
             gains = bucket_gains(st)
