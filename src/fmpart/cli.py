@@ -204,11 +204,14 @@ def load_document(path: str, fmt: str = "auto") -> NetlistDocument:
 
 
 def parse_seed_spec(text: str) -> list[int]:
-    """Either "1,5,9" (explicit list) or "10" (meaning seeds 1..10)."""
+    """Either "1,5,9" (explicit list, each seed once) or "10" (meaning seeds 1..10)."""
     if "," in text:
         seeds = [int(t) for t in text.split(",") if t.strip()]
         if not seeds:
             raise ValueError("empty seed list")
+        for i, seed in enumerate(seeds):
+            if seed in seeds[:i]:
+                raise argparse.ArgumentTypeError(f"seed {seed} is listed more than once")
         return seeds
     count = int(text)
     if count < 1:

@@ -106,15 +106,15 @@ def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int)
     moved lists each cell at most once, as locking guarantees within a
     pass, so when it is as long as h has cells, p is the complement of the
     pass's start. If the kept prefix is then shorter than the undone tail,
-    p flips back to the start in O(cells + nets) and replays the prefix; a
-    partition and its complement cut the same nets, so the cut count needs
-    no change. Otherwise the tail is undone move by move.
+    p flips back to the start in O(cells), swapping its two per-block count
+    lists, and replays the prefix; a partition and its complement cut the
+    same nets, so the cut count needs no change. Otherwise the tail is
+    undone move by move.
     """
     if len(moved) - keep > keep and len(moved) == h.cell_count:
         p.side[:] = [1 - s for s in p.side]
         p.block_size.reverse()
-        for occ in p.net_occupancy:
-            occ.reverse()
+        p.counts.reverse()
         for c in moved[:keep]:
             apply_move(p, h, c)
         return

@@ -4,13 +4,14 @@ Gains live in [-P, +P] where P is the maximum cell degree, so each block
 keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is the two buckets: a cell's slot in
 the bucket of its block is the only record of its gain, and a cell is
-locked exactly when no bucket holds it.
+locked exactly when no bucket holds it. `init` fills them and binds one
+move for the pass, written for their structure over their own arrays.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import B1, B2, Hypergraph, Partition
 
@@ -37,8 +38,14 @@ class GainBucket:
     Chain order depends only on chain operations and bag order only on bag
     operations, so either structure alone orders its cells exactly as a
     bucket keeping both would. Insert, remove and relocate are O(1); the
-    max pointer falls back by linear scan when its slot drains. `select`
-    and `iter_descending` order ties by the policy the bucket was built for.
+    max pointer falls back by linear scan when its slot drains.
+    `iter_descending` orders ties by the policy the bucket was built for.
+
+    During a pass the buckets are driven through the move and select that
+    `init` binds to their arrays (see `Buckets`): that move does the
+    removal and every relocation inline, in the order `remove` and
+    `relocate` would, and writes `size` and `max_slot` back after each
+    move, so the methods here see an exact bucket between moves.
     """
 
     __slots__ = (
@@ -194,7 +201,7 @@ class GainBucket:
         """All (cell, gain) pairs, highest gain slot first, produced on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
-        the one `select` would pick: lifo walks the chain from the head,
+        the one `select_max` would pick: lifo walks the chain from the head,
         fifo from the tail, and random starts at a uniform position in the
         slot's bag, drawn from rng on entering the slot, and wraps around.
         Empty slots are skipped, so k cells cost O(k + gain span).
@@ -221,19 +228,6 @@ class GainBucket:
             k = rng.randrange(n)
             for i in range(k, k + n):
                 yield bag[i - n if i >= n else i], g
-
-    def select(self, rng: Optional[random.Random] = None) -> Optional[int]:
-        """One cell from the max slot in tie-policy order, or None when the
-        bucket is empty; only the random policy draws from rng."""
-        if self.size == 0:
-            return None
-        if self.chained:
-            link = self.prv if self.policy == "fifo" else self.nxt
-            return link[self.anchor + self.max_slot]
-        if rng is None:
-            raise ValueError("random tie policy needs an rng")
-        bag = self.bags[self.max_slot]
-        return bag[rng.randrange(len(bag))]
 
     def audit(self) -> None:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
@@ -275,7 +269,15 @@ class GainBucket:
             raise AssertionError("max pointer is not the highest nonempty slot")
 
 
-Buckets = tuple[GainBucket, GainBucket]
+class Buckets(tuple):
+    """The state of one pass: B1's and B2's `GainBucket`, in that order, with
+    a move and a select bound by `init` to the buckets' arrays and to the
+    graph and partition the buckets were filled from."""
+
+    graph: Hypergraph
+    partition: Partition
+    move: Callable[[int], int]
+    select: Callable[[int, Optional[random.Random]], Optional[int]]
 
 
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
@@ -285,21 +287,21 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     entirely in c's block. Single-pin nets cancel to zero.
     """
     f = p.side[c]
-    t = 1 - f
-    occ_of = p.net_occupancy
+    count_f = p.counts[f]
+    count_t = p.counts[1 - f]
     g = 0
     for n in h.cell_nets[c]:
-        occ = occ_of[n]
-        if occ[f] == 1:
+        if count_f[n] == 1:
             g += 1
-        if occ[t] == 0:
+        if count_t[n] == 0:
             g -= 1
     return g
 
 
 def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
-    both built for tie_policy (see GainBucket); the pair is the pass state.
+    both built for tie_policy (see GainBucket), then bind the pass's move
+    and select to the pair, which is the pass state.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -307,10 +309,10 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """
     n = h.cell_count
     span = h.max_cell_degree
-    buckets = (GainBucket(n, span, tie_policy), GainBucket(n, span, tie_policy))
+    buckets = Buckets((GainBucket(n, span, tie_policy), GainBucket(n, span, tie_policy)))
     gain = [0] * n
     side = p.side
-    for pins, (a, b) in zip(h.nets, p.net_occupancy):
+    for pins, a, b in zip(h.nets, *p.counts):
         if a and b:
             if a == 1:
                 for x in pins:
@@ -328,12 +330,297 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     for blk in (B1, B2):
         cells = [c for c in range(n) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
+    buckets.graph = h
+    buckets.partition = p
+    (_bind_chains if buckets[B1].chained else _bind_bags)(buckets, h, p)
     return buckets
+
+
+def _bind_chains(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
+    """Bind move and select for chained buckets (lifo and fifo).
+
+    The move does what `move_and_update` describes, with `GainBucket.remove`
+    and `GainBucket.relocate` written out in place, in the order the calls
+    would make them, and tracks both max slots in locals. A gain moves by one
+    slot at a time, so a rise can only lift the max slot, and a fall that
+    drains the max slot leaves the slot below it on top.
+    """
+    span = buckets[B1].span
+    anchor = buckets[B1].anchor
+    arrays = tuple((b.slot, b.nxt, b.prv, b) for b in buckets)
+    side = p.side
+    sizes = p.block_size
+    counts = p.counts
+    cell_nets = h.cell_nets
+    pins_of = h.nets
+
+    def move(c: int) -> int:
+        f = side[c]
+        t = 1 - f
+        slot_f, nxt_f, prv_f, bucket_f = arrays[f]
+        slot_t, nxt_t, prv_t, bucket_t = arrays[t]
+        k = slot_f[c]
+        if k < 0:
+            raise ValueError(f"cell {c} is locked")
+        n = nxt_f[c]
+        q = prv_f[c]
+        nxt_f[q] = n
+        prv_f[n] = q
+        slot_f[c] = _NONE
+        top_f = bucket_f.max_slot
+        if n == q and k == top_f:
+            top_f = bucket_f._top_from(k - 1)
+        top_t = bucket_t.max_slot
+        count_f = counts[f]
+        count_t = counts[t]
+        nets = cell_nets[c]
+        for e in nets:
+            tc = count_t[e]
+            if tc == 0:
+                for x in pins_of[e]:
+                    old = slot_f[x]
+                    if old >= 0:
+                        n = nxt_f[x]
+                        q = prv_f[x]
+                        nxt_f[q] = n
+                        prv_f[n] = q
+                        old += 1
+                        s = anchor + old
+                        head = nxt_f[s]
+                        nxt_f[x] = head
+                        prv_f[x] = s
+                        prv_f[head] = x
+                        nxt_f[s] = x
+                        slot_f[x] = old
+                        if old > top_f:
+                            top_f = old
+            elif tc == 1:
+                for x in pins_of[e]:
+                    if side[x] == t:
+                        old = slot_t[x]
+                        if old >= 0:
+                            n = nxt_t[x]
+                            q = prv_t[x]
+                            nxt_t[q] = n
+                            prv_t[n] = q
+                            if n == q and old == top_t:
+                                top_t = old - 1
+                            old -= 1
+                            s = anchor + old
+                            head = nxt_t[s]
+                            nxt_t[x] = head
+                            prv_t[x] = s
+                            prv_t[head] = x
+                            nxt_t[s] = x
+                            slot_t[x] = old
+                        break
+        side[c] = t
+        sizes[f] -= 1
+        sizes[t] += 1
+        gain = k - span
+        p.cut_count -= gain
+        for e in nets:
+            fc = count_f[e] - 1
+            count_f[e] = fc
+            count_t[e] += 1
+            if fc == 0:
+                for x in pins_of[e]:
+                    old = slot_t[x]
+                    if old >= 0:
+                        n = nxt_t[x]
+                        q = prv_t[x]
+                        nxt_t[q] = n
+                        prv_t[n] = q
+                        if n == q and old == top_t:
+                            top_t = old - 1
+                        old -= 1
+                        s = anchor + old
+                        head = nxt_t[s]
+                        nxt_t[x] = head
+                        prv_t[x] = s
+                        prv_t[head] = x
+                        nxt_t[s] = x
+                        slot_t[x] = old
+            elif fc == 1:
+                for x in pins_of[e]:
+                    if side[x] == f:
+                        old = slot_f[x]
+                        if old >= 0:
+                            n = nxt_f[x]
+                            q = prv_f[x]
+                            nxt_f[q] = n
+                            prv_f[n] = q
+                            old += 1
+                            s = anchor + old
+                            head = nxt_f[s]
+                            nxt_f[x] = head
+                            prv_f[x] = s
+                            prv_f[head] = x
+                            nxt_f[s] = x
+                            slot_f[x] = old
+                            if old > top_f:
+                                top_f = old
+                        break
+        bucket_f.size -= 1
+        bucket_f.max_slot = top_f
+        bucket_t.max_slot = top_t
+        return gain
+
+    # lifo picks a slot's head, fifo its tail
+    picks = tuple((b, b.prv if b.policy == "fifo" else b.nxt) for b in buckets)
+
+    def select(block: int, rng: Optional[random.Random] = None) -> Optional[int]:
+        bucket, link = picks[block]
+        top = bucket.max_slot
+        return None if top < 0 else link[anchor + top]
+
+    buckets.move = move
+    buckets.select = select
+
+
+def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
+    """Bind move and select for bagged buckets (random), as `_bind_chains`
+    does for chains. A swap-removal that leaves its bag nonempty cannot have
+    drained it, so only a cell that was last in its bag checks the max."""
+    span = buckets[B1].span
+    arrays = tuple((b.slot, b.bags, b.bag_pos, b) for b in buckets)
+    side = p.side
+    sizes = p.block_size
+    counts = p.counts
+    cell_nets = h.cell_nets
+    pins_of = h.nets
+
+    def move(c: int) -> int:
+        f = side[c]
+        t = 1 - f
+        slot_f, bags_f, pos_f, bucket_f = arrays[f]
+        slot_t, bags_t, pos_t, bucket_t = arrays[t]
+        k = slot_f[c]
+        if k < 0:
+            raise ValueError(f"cell {c} is locked")
+        top_f = bucket_f.max_slot
+        bag = bags_f[k]
+        last = bag.pop()
+        if last != c:
+            i = pos_f[c]
+            bag[i] = last
+            pos_f[last] = i
+        pos_f[c] = _NONE
+        slot_f[c] = _NONE
+        if not bag and k == top_f:
+            top_f = bucket_f._top_from(k - 1)
+        top_t = bucket_t.max_slot
+        count_f = counts[f]
+        count_t = counts[t]
+        nets = cell_nets[c]
+        for e in nets:
+            tc = count_t[e]
+            if tc == 0:
+                for x in pins_of[e]:
+                    old = slot_f[x]
+                    if old >= 0:
+                        bag = bags_f[old]
+                        last = bag.pop()
+                        if last != x:
+                            i = pos_f[x]
+                            bag[i] = last
+                            pos_f[last] = i
+                        old += 1
+                        bag = bags_f[old]
+                        pos_f[x] = len(bag)
+                        bag.append(x)
+                        slot_f[x] = old
+                        if old > top_f:
+                            top_f = old
+            elif tc == 1:
+                for x in pins_of[e]:
+                    if side[x] == t:
+                        old = slot_t[x]
+                        if old >= 0:
+                            bag = bags_t[old]
+                            last = bag.pop()
+                            if last != x:
+                                i = pos_t[x]
+                                bag[i] = last
+                                pos_t[last] = i
+                            elif not bag and old == top_t:
+                                top_t = old - 1
+                            old -= 1
+                            bag = bags_t[old]
+                            pos_t[x] = len(bag)
+                            bag.append(x)
+                            slot_t[x] = old
+                        break
+        side[c] = t
+        sizes[f] -= 1
+        sizes[t] += 1
+        gain = k - span
+        p.cut_count -= gain
+        for e in nets:
+            fc = count_f[e] - 1
+            count_f[e] = fc
+            count_t[e] += 1
+            if fc == 0:
+                for x in pins_of[e]:
+                    old = slot_t[x]
+                    if old >= 0:
+                        bag = bags_t[old]
+                        last = bag.pop()
+                        if last != x:
+                            i = pos_t[x]
+                            bag[i] = last
+                            pos_t[last] = i
+                        elif not bag and old == top_t:
+                            top_t = old - 1
+                        old -= 1
+                        bag = bags_t[old]
+                        pos_t[x] = len(bag)
+                        bag.append(x)
+                        slot_t[x] = old
+            elif fc == 1:
+                for x in pins_of[e]:
+                    if side[x] == f:
+                        old = slot_f[x]
+                        if old >= 0:
+                            bag = bags_f[old]
+                            last = bag.pop()
+                            if last != x:
+                                i = pos_f[x]
+                                bag[i] = last
+                                pos_f[last] = i
+                            old += 1
+                            bag = bags_f[old]
+                            pos_f[x] = len(bag)
+                            bag.append(x)
+                            slot_f[x] = old
+                            if old > top_f:
+                                top_f = old
+                        break
+        bucket_f.size -= 1
+        bucket_f.max_slot = top_f
+        bucket_t.max_slot = top_t
+        return gain
+
+    picks = tuple((b, b.bags) for b in buckets)
+
+    def select(block: int, rng: Optional[random.Random] = None) -> Optional[int]:
+        bucket, bags = picks[block]
+        top = bucket.max_slot
+        if top < 0:
+            return None
+        if rng is None:
+            raise ValueError("random tie policy needs an rng")
+        bag = bags[top]
+        return bag[rng.randrange(len(bag))]
+
+    buckets.move = move
+    buckets.select = select
 
 
 def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
     """Lock c, move it, adjust unlocked neighbor gains in place, and return
-    c's gain.
+    c's gain; h and p must be the graph and partition `init` bound the
+    buckets to.
 
     For each net of c, with F the departing block and T the receiving one:
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
@@ -346,70 +633,18 @@ def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> in
     The transfer is done here, as `apply_move` would do it: side and sizes
     flip between the two loops, each net's counts move as the second loop
     reaches it, and the cut falls by c's gain, which is exact because c was
-    unlocked until this call.
+    unlocked until this call. The work is done by the move `init` bound.
     """
-    side = p.side
-    f = side[c]
-    t = 1 - f
-    bucket_f = buckets[f]
-    slot_f = bucket_f.slot
-    slot_t = buckets[t].slot
-    if slot_f[c] == _NONE:
-        raise ValueError(f"cell {c} is locked")
-    span = bucket_f.span
-    gain = slot_f[c] - span
-    bucket_f.remove(c)
-    # slot k files gain k - span, and an unfiled cell's slot is -1
-    up = 1 - span
-    down = -1 - span
-    relocate_f = bucket_f.relocate
-    relocate_t = buckets[t].relocate
-    nets = h.cell_nets[c]
-    pins_of = h.nets
-    occ_of = p.net_occupancy
-    for n in nets:
-        tc = occ_of[n][t]
-        if tc == 0:
-            for x in pins_of[n]:
-                k = slot_f[x]
-                if k >= 0:
-                    relocate_f(x, k + up)
-        elif tc == 1:
-            for x in pins_of[n]:
-                if side[x] == t:
-                    k = slot_t[x]
-                    if k >= 0:
-                        relocate_t(x, k + down)
-                    break
-    side[c] = t
-    sizes = p.block_size
-    sizes[f] -= 1
-    sizes[t] += 1
-    p.cut_count -= gain
-    for n in nets:
-        occ = occ_of[n]
-        fc = occ[f] - 1
-        occ[f] = fc
-        occ[t] += 1
-        if fc == 0:
-            for x in pins_of[n]:
-                k = slot_t[x]
-                if k >= 0:
-                    relocate_t(x, k + down)
-        elif fc == 1:
-            for x in pins_of[n]:
-                if side[x] == f:
-                    k = slot_f[x]
-                    if k >= 0:
-                        relocate_f(x, k + up)
-                    break
-    return gain
+    if p is not buckets.partition or h is not buckets.graph:
+        raise ValueError("buckets were built for another graph or partition")
+    return buckets.move(c)
 
 
 def select_max(buckets: Buckets, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
-    """An unlocked cell at the block's max gain index, picked by the tie
-    policy of the buckets, or None if none remain."""
-    return buckets[block].select(rng)
+    """A cell at the block's max gain index, or None if the block has no
+    unlocked cell: lifo picks the head of the max slot's chain, fifo its
+    tail, and random a uniform member of its bag, drawn from rng."""
+    return buckets.select(block, rng)
 
 
 def audit(buckets: Buckets, h: Hypergraph, p: Partition) -> None:

@@ -7,6 +7,7 @@ stored as a sorted tuple. Blocks are the two integers B1 = 0 and B2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 B1 = 0
@@ -18,7 +19,9 @@ class Hypergraph:
     """Immutable pin structure; safe to share between runs and threads.
 
     Stores the pins of each net and the nets of each cell; every size is
-    read off these two tables."""
+    read off these two tables. `max_cell_degree` scans the cell table once
+    per graph and keeps the result outside the fields, so equality, hashing
+    and `dataclasses.replace` see only the two tables."""
 
     nets: tuple[tuple[int, ...], ...]
     cell_nets: tuple[tuple[int, ...], ...]
@@ -27,7 +30,7 @@ class Hypergraph:
     def cell_count(self) -> int:
         return len(self.cell_nets)
 
-    @property
+    @cached_property
     def max_cell_degree(self) -> int:
         return max(map(len, self.cell_nets), default=0)
 
@@ -65,7 +68,10 @@ def build(net_pin_lists: Iterable[Sequence[int]], cell_count: int) -> Hypergraph
 
 @dataclass
 class Partition:
-    """Mutable block assignment with per-net occupancy and a maintained cut count.
+    """Mutable block assignment with per-net pin counts and a maintained cut count.
+
+    counts[b][n] is the number of pins of net n on block b: one flat list per
+    block, so a move indexes two lists and flipping every cell swaps them.
 
     Single-writer state: a partition belongs to one run at a time, though it
     may be handed to another thread between runs.
@@ -73,7 +79,7 @@ class Partition:
 
     side: list[int]
     block_size: list[int]
-    net_occupancy: list[list[int]]
+    counts: list[list[int]]
     cut_count: int
 
     @classmethod
@@ -83,24 +89,15 @@ class Partition:
             raise ValueError(f"expected {h.cell_count} side entries, got {len(side)}")
         if any(s not in (B1, B2) for s in side):
             raise ValueError("side entries must be 0 or 1")
-        occupancy = []
-        cut = 0
         on_b2 = side.__getitem__
-        for pins in h.nets:
-            b = sum(map(on_b2, pins))  # B1 is 0 and B2 is 1
-            occ = [len(pins) - b, b]
-            occupancy.append(occ)
-            if occ[B1] > 0 and occ[B2] > 0:
-                cut += 1
-        return cls(side, [side.count(B1), side.count(B2)], occupancy, cut)
+        on_2 = [sum(map(on_b2, pins)) for pins in h.nets]  # B1 is 0 and B2 is 1
+        on_1 = [len(pins) - b for pins, b in zip(h.nets, on_2)]
+        cut = sum(1 for a, b in zip(on_1, on_2) if a and b)
+        return cls(side, [side.count(B1), side.count(B2)], [on_1, on_2], cut)
 
     def clone(self) -> "Partition":
-        return Partition(
-            list(self.side),
-            list(self.block_size),
-            [list(o) for o in self.net_occupancy],
-            self.cut_count,
-        )
+        on_1, on_2 = self.counts
+        return Partition(list(self.side), list(self.block_size), [list(on_1), list(on_2)], self.cut_count)
 
 
 def cut_count(h: Hypergraph, side: Sequence[int]) -> int:
@@ -118,24 +115,24 @@ def cut_count(h: Hypergraph, side: Sequence[int]) -> int:
 
 
 def apply_move(p: Partition, h: Hypergraph, c: int) -> None:
-    """Flip c's block, updating sizes, occupancy and cut in O(degree of c)."""
+    """Flip c's block, updating sizes, pin counts and cut in O(degree of c)."""
     f = p.side[c]
     t = 1 - f
     p.side[c] = t
     p.block_size[f] -= 1
     p.block_size[t] += 1
-    occ_of = p.net_occupancy
+    count_f = p.counts[f]
+    count_t = p.counts[t]
     delta = 0
     for n in h.cell_nets[c]:
-        occ = occ_of[n]
-        # with c still counted on f: cut before iff occ[t] > 0, after iff occ[f] > 1
-        a = occ[f]
-        b = occ[t]
+        # with c still counted on f: cut before iff b > 0, after iff a > 1
+        a = count_f[n]
+        b = count_t[n]
         if b == 0:
             if a > 1:
                 delta += 1
         elif a == 1:
             delta -= 1
-        occ[f] = a - 1
-        occ[t] = b + 1
+        count_f[n] = a - 1
+        count_t[n] = b + 1
     p.cut_count += delta

@@ -45,13 +45,13 @@ def correct_term(h: Hypergraph, p: Partition, u: int, v: int) -> int:
     nets_other = h.cell_nets[v]
     if len(nets_small) > len(nets_other):
         nets_small, nets_other = nets_other, nets_small
-    occ_of = p.net_occupancy
+    count_u = p.counts[su]
+    count_v = p.counts[sv]
     pins_of = h.nets
     total = 0
     for n in nets_small:
         if n in nets_other:
-            occ = occ_of[n]
-            if occ[su] == 1 or occ[sv] == 1:
+            if count_u[n] == 1 or count_v[n] == 1:
                 total += 2 if len(pins_of[n]) == 2 else 1
     return total
 

@@ -267,6 +267,23 @@ class TestCliMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_repeated_seed_exits_two(self, fixture_files, tmp_path, capsys, command):
+        # a repeated seed would run the same task twice and write duplicate rows
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        argv = [command, "--input", str(star), "--seeds", "3,1,2,1,3"]
+        if command == "run":
+            argv += ["--csv", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "argument --seeds: seed 1 is listed more than once" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_jobs_exit_two(self, fixture_files, tmp_path, capsys, value):
         star, _ = fixture_files

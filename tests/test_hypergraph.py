@@ -1,4 +1,6 @@
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,18 @@ class TestBuild:
         assert h.cell_count == 0
         assert h.max_cell_degree == 0
         assert h.net_count == 0
+
+    def test_max_cell_degree_kept_outside_equality_and_pickling(self, h_star):
+        fresh = build([[3, 4], [2, 4], [0, 1, 4]], 5)
+        assert h_star.max_cell_degree == 3
+        assert "max_cell_degree" in vars(h_star)  # computed once, then read back
+        assert h_star == fresh and hash(h_star) == hash(fresh)
+        for h in (h_star, fresh):
+            loaded = pickle.loads(pickle.dumps(h))
+            assert loaded == fresh and hash(loaded) == hash(fresh)
+            assert loaded.max_cell_degree == 3
+        # replace builds a new graph, which reads its own tables
+        assert replace(h_star, cell_nets=h_star.cell_nets[:4]).max_cell_degree == 1
 
     def test_duplicate_pin_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -102,9 +116,8 @@ def test_incremental_cut_matches_recount(hp, moves):
         assert p.cut_count == cut_count(h, p.side)
         assert p.block_size == [p.side.count(0), p.side.count(1)]
         for n, pins in enumerate(h.nets):
-            occ = p.net_occupancy[n]
-            assert occ[0] + occ[1] == len(pins)
-            assert occ[0] == sum(1 for c in pins if p.side[c] == 0)
+            assert p.counts[0][n] + p.counts[1][n] == len(pins)
+            assert p.counts[0][n] == sum(1 for c in pins if p.side[c] == 0)
 
 
 @settings(max_examples=100)
