@@ -2,6 +2,7 @@
 """Time this checkout's run loop against another checkout's in one process.
 
     python3 scripts/ab_time.py --parent ../fmpart-parent --workload fm_large
+    python3 scripts/ab_time.py --parent ../fmpart-parent --workload fm_large --tie-policy lifo
 
 Whole-benchmark wall times drift between processes on a shared host, and
 the drift can hide a change of 10-20%. This script loads both checkouts'
@@ -9,7 +10,8 @@ the drift can hide a change of 10-20%. This script loads both checkouts'
 `perfbench/gen.write_workload`) with each. It then alternates the two run
 loops, swapping which goes first in each pair. A run loop is one
 `run_experiment` call over the workload's algorithms, seeds and pass cap,
-as in `perfbench/worker.py`, timed with `time.process_time`. It prints the
+as in `perfbench/worker.py` (under --tie-policy, default that of `FmConfig`),
+timed with `time.process_time`. It prints the
 ratio of each pair (this checkout over --parent) and their median, and exits
 1 if the two checkouts ever give different rows (`elapsed_ms` aside).
 """
@@ -30,6 +32,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 import worker  # noqa: E402  (imports this checkout's fmpart)
+from fmpart.fm import FmConfig  # noqa: E402
+from fmpart.gains import TIE_POLICIES  # noqa: E402
 
 
 def is_fmpart(name: str) -> bool:
@@ -66,6 +70,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(worker.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     ap.add_argument("--pairs", type=int, default=8, help="timed pairs (default 8)")
+    ap.add_argument("--tie-policy", choices=TIE_POLICIES, default=FmConfig.tie_policy,
+                    help=f"tie policy of every run (default {FmConfig.tie_policy})")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be positive")
@@ -81,7 +87,7 @@ def main(argv=None) -> int:
 
     def run_loop(side: str) -> tuple[float, list]:
         cli = clis[side]
-        cfg = cli.FmConfig(seed=spec["seeds"][0], max_passes=spec["max_passes"])
+        cfg = cli.FmConfig(seed=spec["seeds"][0], tie_policy=args.tie_policy, max_passes=spec["max_passes"])
         gc.collect()
         start = time.process_time()
         rows, _summary = cli.run_experiment(entries[side], spec["algorithms"], spec["seeds"], cfg)
@@ -102,7 +108,7 @@ def main(argv=None) -> int:
             f"ratio {ratios[-1]:.3f}",
             flush=True,
         )
-    print(f"{args.workload}: median ratio {statistics.median(ratios):.3f} over {len(ratios)} pairs, "
+    print(f"{args.workload} ({args.tie_policy}): median ratio {statistics.median(ratios):.3f} over {len(ratios)} pairs, "
           f"rows {'identical' if same_rows else 'DIFFER'}")
     return 0 if same_rows else 1
 

@@ -274,8 +274,6 @@ class Buckets(tuple):
     a move and a select bound by `init` to the buckets' arrays and to the
     graph and partition the buckets were filled from."""
 
-    graph: Hypergraph
-    partition: Partition
     move: Callable[[int], int]
     select: Callable[[int, Optional[random.Random]], Optional[int]]
 
@@ -330,8 +328,6 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     for blk in (B1, B2):
         cells = [c for c in range(n) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
-    buckets.graph = h
-    buckets.partition = p
     (_bind_chains if buckets[B1].chained else _bind_bags)(buckets, h, p)
     return buckets
 
@@ -619,8 +615,9 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
 
 def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
     """Lock c, move it, adjust unlocked neighbor gains in place, and return
-    c's gain; h and p must be the graph and partition `init` bound the
-    buckets to.
+    c's gain. The move works on the graph and partition `init` bound the
+    buckets to; h and p name them only so the per-move signature that step
+    hooks, tracers and test wrappers see stays that of an unbound move.
 
     For each net of c, with F the departing block and T the receiving one:
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
@@ -635,8 +632,6 @@ def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> in
     reaches it, and the cut falls by c's gain, which is exact because c was
     unlocked until this call. The work is done by the move `init` bound.
     """
-    if p is not buckets.partition or h is not buckets.graph:
-        raise ValueError("buckets were built for another graph or partition")
     return buckets.move(c)
 
 

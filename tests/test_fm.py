@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fmpart.fm import (
     random_initial_partition,
     rollback_to_prefix,
 )
+from fmpart.gains import TIE_POLICIES, GainBucket
 from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 from fmpart.oracle import exact_min_cut_balanced
 from fmpart.pairwise import pad_dummy, variant_pass
@@ -152,23 +154,37 @@ class TestFmPass:
     def test_pass_relocations_linear_in_pins(self, monkeypatch):
         # criterion 09's instances and starts, with work counted, not timed:
         # the gain updates the FM rule asks of each move, counted from the
-        # state before it, come to about 0.73 per pin at every size
+        # state before it, come to about 0.73 per pin at every size and tie
+        # policy. The move does each in O(1); its only other work is the
+        # max-slot scans, counted as slots inspected, about 0.055 per pin,
+        # where a move that rescanned from the top on every call would
+        # inspect several per pin
         move = fmpart.fm.move_and_update
-        updates = 0
+        top_from = GainBucket._top_from
+        updates = scanned = 0
 
         def counted(buckets, h, p, c):
             nonlocal updates
             updates += required_gain_updates(buckets, h, p, c)
             return move(buckets, h, p, c)
 
+        def counted_scan(bucket, slot):
+            nonlocal scanned
+            top = top_from(bucket, slot)
+            scanned += slot - top + (top >= 0)
+            return top
+
         monkeypatch.setattr(fmpart.fm, "move_and_update", counted)
+        monkeypatch.setattr(GainBucket, "_top_from", counted_scan)
         for n in (5000, 10000, 20000):
             h = random_hypergraph(random.Random(100 + n), n, n, 2, 6)
-            for rep in range(3):
+            for policy, rep in itertools.product(TIE_POLICIES, range(3)):
                 p = random_initial_partition(h, random.Random(rep))
-                updates = 0
-                fm_pass(h, p, FmConfig(seed=1), random.Random(rep))
-                assert 0 < updates <= h.pin_count, f"{n} cells: {updates / h.pin_count:.3f} updates per pin"
+                updates = scanned = 0
+                fm_pass(h, p, FmConfig(seed=1, tie_policy=policy), random.Random(rep))
+                where = f"{n} cells, {policy}"
+                assert 0 < updates <= h.pin_count, f"{where}: {updates / h.pin_count:.3f} updates per pin"
+                assert 0 < scanned <= h.pin_count // 4, f"{where}: {scanned / h.pin_count:.3f} slot scans per pin"
 
 
 def required_gain_updates(buckets, h, p, c):

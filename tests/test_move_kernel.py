@@ -162,16 +162,6 @@ class TestKernelMatchesReference:
 
 
 class TestBinding:
-    def test_move_refuses_another_partition(self):
-        h = build([[0, 1], [1, 2]], 4)
-        p = Partition.from_sides(h, [0, 0, 1, 1])
-        buckets = init(h, p, "lifo")
-        with pytest.raises(ValueError, match="another graph or partition"):
-            fmpart.fm.move_and_update(buckets, h, p.clone(), 0)
-        with pytest.raises(ValueError, match="another graph or partition"):
-            fmpart.fm.move_and_update(buckets, build([[0, 1], [1, 2]], 4), p, 0)
-        assert p == Partition.from_sides(h, [0, 0, 1, 1])
-
     def test_random_select_needs_rng(self):
         h = build([[0, 1]], 2)
         buckets = init(h, Partition.from_sides(h, [0, 1]), "random")
