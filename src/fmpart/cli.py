@@ -203,24 +203,32 @@ def load_document(path: str, fmt: str = "auto") -> NetlistDocument:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _parse_int(text: str, what: str) -> int:
+    """int(text), or an argparse.ArgumentTypeError naming text as the bad what."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer") from None
+
+
 def parse_seed_spec(text: str) -> list[int]:
     """Either "1,5,9" (explicit list, each seed once) or "10" (meaning seeds 1..10)."""
     if "," in text:
-        seeds = [int(t) for t in text.split(",") if t.strip()]
+        seeds = [_parse_int(t, "seed") for t in text.split(",") if t.strip()]
         if not seeds:
-            raise ValueError("empty seed list")
+            raise argparse.ArgumentTypeError(f"no seed in the list {text!r}")
         for i, seed in enumerate(seeds):
             if seed in seeds[:i]:
                 raise argparse.ArgumentTypeError(f"seed {seed} is listed more than once")
         return seeds
-    count = int(text)
+    count = _parse_int(text, "seed count")
     if count < 1:
         raise argparse.ArgumentTypeError(f"seed count must be at least 1, got {count}")
     return list(range(1, count + 1))
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = _parse_int(text, "value")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -234,7 +242,7 @@ def _default_jobs() -> int:
         return 1
     try:
         return positive_int(raw)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise ValueError(f"{JOBS_ENV_VAR} must be an integer of at least 1, got {raw!r}") from None
 
 

@@ -79,24 +79,20 @@ def random_initial_partition(h: Hypergraph, rng: random.Random) -> Partition:
 
 
 def _source_block(buckets: Buckets, p: Partition) -> Optional[int]:
-    """Pick the block to move from: B1 when its max gain and size both
-    dominate, else B2 when it is at least as large, else B1.
+    """Pick the block to move from: the larger one; on equal sizes the one
+    with the higher max gain, B1 on a tie. A block with no unlocked cell
+    yields to the other, and with none left there is no block.
 
     Both buckets share one gain span, so their max slots compare as their
     max gains do; an empty bucket's max slot is -1."""
-    b1, b2 = buckets
-    m1 = b1.max_slot
-    m2 = b2.max_slot
+    m1 = buckets[B1].max_slot
+    m2 = buckets[B2].max_slot
     if m1 < 0:
         return None if m2 < 0 else B2
     if m2 < 0:
         return B1
     s1, s2 = p.block_size
-    if m1 >= m2 and s1 >= s2:
-        return B1
-    if s2 >= s1:
-        return B2
-    return B1
+    return B1 if (s1, m1) >= (s2, m2) else B2
 
 
 def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int) -> None:

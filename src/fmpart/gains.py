@@ -30,27 +30,29 @@ class GainBucket:
       intrusive arrays, closed by one sentinel entry per slot after the
       cells, so links never branch on an end. New cells are pushed at the
       head, so head order is most-recent-first; lifo picks the head and
-      fifo the tail.
+      fifo the tail, by the link (``nxt`` or ``prv``) fixed as ``pick``.
     - ``random``: an unordered array per slot (a bag) with swap-removal and
-      a per-cell position, so a uniform pick costs O(1) instead of a chain
-      walk; passes would otherwise go quadratic.
+      a per-cell position, read only while the cell is filed, so a uniform
+      pick costs O(1) instead of a chain walk; passes would otherwise go
+      quadratic.
 
     Chain order depends only on chain operations and bag order only on bag
     operations, so either structure alone orders its cells exactly as a
     bucket keeping both would. Insert, remove and relocate are O(1); the
-    max pointer falls back by linear scan when its slot drains.
-    `iter_descending` orders ties by the policy the bucket was built for.
+    max pointer falls back by linear scan when its slot drains, and is -1
+    exactly when the bucket is empty. `select` and `iter_descending` order
+    ties by the policy the bucket was built for.
 
-    During a pass the buckets are driven through the move and select that
-    `init` binds to their arrays (see `Buckets`): that move does the
-    removal and every relocation inline, in the order `remove` and
-    `relocate` would, and writes `size` and `max_slot` back after each
-    move, so the methods here see an exact bucket between moves.
+    During a pass the buckets are driven through the move that `init` binds
+    to their arrays (see `Buckets`): it does the removal and every
+    relocation inline, in the order `remove` and `relocate` would, and
+    writes `max_slot` back after each move, so the methods here see an exact
+    bucket between moves.
     """
 
     __slots__ = (
-        "span", "policy", "chained", "slot", "size", "max_slot",
-        "anchor", "nxt", "prv", "bags", "bag_pos",
+        "span", "policy", "chained", "slot", "max_slot",
+        "anchor", "nxt", "prv", "pick", "bags", "bag_pos",
     )
 
     def __init__(self, cell_count: int, span: int, policy: str):
@@ -61,18 +63,18 @@ class GainBucket:
         self.chained = policy != "random"
         width = 2 * span + 1
         self.slot = [_NONE] * cell_count
-        self.size = 0
         self.max_slot = _NONE
         if self.chained:
             # slot k's sentinel is entry anchor + k; an empty slot links to itself
             self.anchor = cell_count
             self.nxt = [_NONE] * cell_count + list(range(cell_count, cell_count + width))
             self.prv = list(self.nxt)
+            self.pick = self.prv if policy == "fifo" else self.nxt
             self.bags = self.bag_pos = None
         else:
             self.bags: list[list[int]] = [[] for _ in range(width)]
             self.bag_pos = [_NONE] * cell_count
-            self.anchor = self.nxt = self.prv = None
+            self.anchor = self.nxt = self.prv = self.pick = None
 
     def __contains__(self, cell: int) -> bool:
         return self.slot[cell] != _NONE
@@ -123,50 +125,42 @@ class GainBucket:
                 slot[c] = k
                 if k > top:
                     top = k
-        self.size += len(cells)
         self.max_slot = top
 
-    def remove(self, cell: int) -> None:
-        slot = self.slot[cell]
-        if slot == _NONE:
+    def _unlink(self, cell: int) -> tuple[int, bool]:
+        """Take a bucketed cell out of its slot's chain or bag, leaving its
+        slot record; return that slot and whether it drained."""
+        old = self.slot[cell]
+        if old == _NONE:
             raise ValueError(f"cell {cell} not in bucket")
         if self.chained:
             n, p = self.nxt[cell], self.prv[cell]
             self.nxt[p] = n
             self.prv[n] = p
-            drained = n == p
-        else:
-            bag = self.bags[slot]
+            # both neighbours are the slot's sentinel only if it drained
+            return old, n == p
+        bag = self.bags[old]
+        last = bag.pop()
+        if last != cell:
             pos = self.bag_pos[cell]
-            last = bag.pop()
-            if last != cell:
-                bag[pos] = last
-                self.bag_pos[last] = pos
-            self.bag_pos[cell] = _NONE
-            drained = not bag
+            bag[pos] = last
+            self.bag_pos[last] = pos
+        return old, not bag
+
+    def remove(self, cell: int) -> None:
+        old, drained = self._unlink(cell)
         self.slot[cell] = _NONE
-        self.size -= 1
-        if drained and slot == self.max_slot:
-            self.max_slot = self._top_from(slot - 1)
+        if drained and old == self.max_slot:
+            self.max_slot = self._top_from(old - 1)
 
     def relocate(self, cell: int, gain: int) -> None:
         """Move a bucketed cell to the slot of gain, as remove then insert
-        would, in one body: the cell enters the new slot at the chain head
-        or at the end of the bag."""
-        slot = self.slot
-        old = slot[cell]
-        if old == _NONE:
-            raise ValueError(f"cell {cell} not in bucket")
+        would: the cell enters the new slot at the chain head or at the end
+        of the bag."""
+        old, drained = self._unlink(cell)
         new = gain + self.span
         if self.chained:
-            nxt = self.nxt
-            prv = self.prv
-            n = nxt[cell]
-            p = prv[cell]
-            nxt[p] = n
-            prv[n] = p
-            # both neighbours are the old slot's sentinel only if it drained
-            drained = n == p
+            nxt, prv = self.nxt, self.prv
             s = self.anchor + new
             head = nxt[s]
             nxt[cell] = head
@@ -174,19 +168,10 @@ class GainBucket:
             prv[head] = cell
             nxt[s] = cell
         else:
-            bags = self.bags
-            bag_pos = self.bag_pos
-            bag = bags[old]
-            last = bag.pop()
-            if last != cell:
-                pos = bag_pos[cell]
-                bag[pos] = last
-                bag_pos[last] = pos
-            drained = not bag
-            bag = bags[new]
-            bag_pos[cell] = len(bag)
+            bag = self.bags[new]
+            self.bag_pos[cell] = len(bag)
             bag.append(cell)
-        slot[cell] = new
+        self.slot[cell] = new
         top = self.max_slot
         if new > top:
             self.max_slot = new
@@ -197,17 +182,31 @@ class GainBucket:
     def max_gain(self) -> Optional[int]:
         return None if self.max_slot == _NONE else self.max_slot - self.span
 
+    def select(self, rng: Optional[random.Random] = None) -> Optional[int]:
+        """A cell of the max slot, or None if the bucket is empty: lifo picks
+        the head of the slot's chain, fifo its tail, and random a uniform
+        member of its bag, drawn from rng."""
+        top = self.max_slot
+        if top < 0:
+            return None
+        if self.chained:
+            return self.pick[self.anchor + top]
+        if rng is None:
+            raise ValueError("random tie policy needs an rng")
+        bag = self.bags[top]
+        return bag[rng.randrange(len(bag))]
+
     def iter_descending(self, rng: Optional[random.Random] = None) -> Iterator[tuple[int, int]]:
         """All (cell, gain) pairs, highest gain slot first, produced on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
-        the one `select_max` would pick: lifo walks the chain from the head,
+        the one `select` would pick: lifo walks the chain from the head,
         fifo from the tail, and random starts at a uniform position in the
         slot's bag, drawn from rng on entering the slot, and wraps around.
         Empty slots are skipped, so k cells cost O(k + gain span).
         """
         if self.chained:
-            link = self.prv if self.policy == "fifo" else self.nxt
+            link = self.pick
             base = self.anchor + self.span
             for end in range(self.anchor + self.max_slot, self.anchor - 1, -1):
                 g = end - base
@@ -233,6 +232,7 @@ class GainBucket:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
         seen = 0
         top = _NONE
+        cell_count = len(self.slot)
         for slot in range(2 * self.span + 1):
             if self.chained:
                 members = []
@@ -240,7 +240,7 @@ class GainBucket:
                 prev = end
                 c = self.nxt[end]
                 while c != end:
-                    if not 0 <= c < self.anchor or len(members) > self.size:
+                    if not 0 <= c < cell_count or len(members) >= cell_count:
                         raise AssertionError(f"slot {slot}: chain leaves its cells")
                     if self.slot[c] != slot:
                         raise AssertionError(f"cell {c}: slot record disagrees with chain")
@@ -261,21 +261,18 @@ class GainBucket:
             if members:
                 top = slot
             seen += len(members)
-        if seen != self.size:
-            raise AssertionError("bucket size disagrees with slot contents")
-        if sum(1 for s in self.slot if s != _NONE) != self.size:
-            raise AssertionError("slot records disagree with bucket size")
+        if sum(1 for s in self.slot if s != _NONE) != seen:
+            raise AssertionError("slot records disagree with slot contents")
         if self.max_slot != top:
             raise AssertionError("max pointer is not the highest nonempty slot")
 
 
 class Buckets(tuple):
     """The state of one pass: B1's and B2's `GainBucket`, in that order, with
-    a move and a select bound by `init` to the buckets' arrays and to the
-    graph and partition the buckets were filled from."""
+    a move bound by `init` to the buckets' arrays and to the graph and
+    partition the buckets were filled from."""
 
     move: Callable[[int], int]
-    select: Callable[[int, Optional[random.Random]], Optional[int]]
 
 
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
@@ -299,7 +296,7 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
     both built for tie_policy (see GainBucket), then bind the pass's move
-    and select to the pair, which is the pass state.
+    to the pair, which is the pass state.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -333,7 +330,7 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
 
 
 def _bind_chains(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
-    """Bind move and select for chained buckets (lifo and fifo).
+    """Bind the move for chained buckets (lifo and fifo).
 
     The move does what `move_and_update` describes, with `GainBucket.remove`
     and `GainBucket.relocate` written out in place, in the order the calls
@@ -457,26 +454,16 @@ def _bind_chains(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                             if old > top_f:
                                 top_f = old
                         break
-        bucket_f.size -= 1
         bucket_f.max_slot = top_f
         bucket_t.max_slot = top_t
         return gain
 
-    # lifo picks a slot's head, fifo its tail
-    picks = tuple((b, b.prv if b.policy == "fifo" else b.nxt) for b in buckets)
-
-    def select(block: int, rng: Optional[random.Random] = None) -> Optional[int]:
-        bucket, link = picks[block]
-        top = bucket.max_slot
-        return None if top < 0 else link[anchor + top]
-
     buckets.move = move
-    buckets.select = select
 
 
 def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
-    """Bind move and select for bagged buckets (random), as `_bind_chains`
-    does for chains. A swap-removal that leaves its bag nonempty cannot have
+    """Bind the move for bagged buckets (random), as `_bind_chains` does
+    for chains. A swap-removal that leaves its bag nonempty cannot have
     drained it, so only a cell that was last in its bag checks the max."""
     span = buckets[B1].span
     arrays = tuple((b.slot, b.bags, b.bag_pos, b) for b in buckets)
@@ -501,7 +488,6 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
             i = pos_f[c]
             bag[i] = last
             pos_f[last] = i
-        pos_f[c] = _NONE
         slot_f[c] = _NONE
         if not bag and k == top_f:
             top_f = bucket_f._top_from(k - 1)
@@ -592,25 +578,11 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                             if old > top_f:
                                 top_f = old
                         break
-        bucket_f.size -= 1
         bucket_f.max_slot = top_f
         bucket_t.max_slot = top_t
         return gain
 
-    picks = tuple((b, b.bags) for b in buckets)
-
-    def select(block: int, rng: Optional[random.Random] = None) -> Optional[int]:
-        bucket, bags = picks[block]
-        top = bucket.max_slot
-        if top < 0:
-            return None
-        if rng is None:
-            raise ValueError("random tie policy needs an rng")
-        bag = bags[top]
-        return bag[rng.randrange(len(bag))]
-
     buckets.move = move
-    buckets.select = select
 
 
 def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
@@ -637,9 +609,8 @@ def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> in
 
 def select_max(buckets: Buckets, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
     """A cell at the block's max gain index, or None if the block has no
-    unlocked cell: lifo picks the head of the max slot's chain, fifo its
-    tail, and random a uniform member of its bag, drawn from rng."""
-    return buckets.select(block, rng)
+    unlocked cell, picked by `GainBucket.select`."""
+    return buckets[block].select(rng)
 
 
 def audit(buckets: Buckets, h: Hypergraph, p: Partition) -> None:

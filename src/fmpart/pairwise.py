@@ -110,7 +110,7 @@ def best_pair(
     policy.
     """
     b1, b2 = state.buckets
-    if not b1.size or not b2.size:
+    if b1.max_slot < 0 or b2.max_slot < 0:
         raise ValueError("a block has no unlocked cells")
     order_u = b1.iter_descending(rng)
     order_v = b2.iter_descending(rng)

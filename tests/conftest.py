@@ -60,3 +60,8 @@ def bucket_gains(buckets) -> list:
         for c, g in bucket.iter_descending(random.Random(0)):
             gains[c] = g
     return gains
+
+
+def filed_count(buckets) -> int:
+    """How many cells the buckets hold, counted from their slot records."""
+    return sum(s >= 0 for bucket in buckets for s in bucket.slot)

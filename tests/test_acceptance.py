@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import balanced_partition, bucket_gains
+from conftest import balanced_partition, bucket_gains, filed_count
 from fmpart.cli import format_gain_mu, gain_mu, load_document
 from fmpart.fm import FmConfig, fm_pass, fm_run, random_initial_partition
 from fmpart.gains import audit, compute_gain, init
@@ -79,7 +79,7 @@ def test_criterion_03_incremental_updates_audited_every_move():
             nonlocal moves
             audit(state, h, p)  # filed gains vs from-scratch + bucket structure
             assert all(c not in state[B1] and c not in state[B2] for c in moved)
-            assert state[B1].size + state[B2].size == len(p.side) - len(moved)
+            assert filed_count(state) == len(p.side) - len(moved)
             moves += 1
 
         runner(h, FmConfig(seed=5), on_step=on_step)

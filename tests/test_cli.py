@@ -28,6 +28,8 @@ from fmpart.synth import clustered_hypergraph
 
 FIVE_CELL_HGR = "3 5\n4 5\n3 5\n1 2 5\n"
 H4_HGR = "2 4\n1 3\n2 4\n"
+# plain IBM .net: nets (a0, a1) and (a2, a0) over three cells
+PLAIN_NET = "0\n4\n2\n3\n0\na0 s\na1 l\na2 s\na0 l\n"
 
 
 @pytest.fixture
@@ -198,6 +200,21 @@ class TestLoadDocument:
         doc = load_document(str(netd))
         assert doc.nets == [(0, 1)]
 
+    def test_auto_detects_plain_ibm_net(self, tmp_path):
+        net = tmp_path / "tiny.net"
+        net.write_text(PLAIN_NET)
+        doc = load_document(str(net))
+        assert doc.nets == [(0, 1), (2, 0)]
+        assert doc.cell_names == ["a0", "a1", "a2"]
+
+    def test_format_names_the_plain_ibm_dialect(self, tmp_path):
+        path = tmp_path / "tiny.txt"
+        path.write_text(PLAIN_NET)
+        assert load_document(str(path), "net").nets == [(0, 1), (2, 0)]
+        # the netD dialect wants a direction token on every pin line
+        with pytest.raises(NetlistFormatError):
+            load_document(str(path), "netd")
+
     def test_unknown_extension_rejected(self, tmp_path):
         weird = tmp_path / "foo.bar"
         weird.write_text("x")
@@ -243,8 +260,16 @@ class TestCliMain:
             "--csv", str(tmp_path / "out.csv"),
         ])
         assert code == 1
+        assert "error: nothing to do, no readable inputs" in capsys.readouterr().err
         with open(tmp_path / "out.csv") as fh:
             assert fh.read().splitlines() == [",".join(ROW_FIELDS)]
+
+    def test_verify_nothing_to_do(self, tmp_path, capsys):
+        code = main(["verify", "--input", str(tmp_path / "nope.hgr"), str(tmp_path / "gone.hgr")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: nothing to do, no readable inputs" in captured.err
+        assert captured.out == ""
 
     def test_bad_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -281,6 +306,28 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "argument --seeds: seed 1 is listed more than once" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (("--seeds", ","), "argument --seeds: no seed in the list ','"),
+            (("--seeds", "1,x"), "argument --seeds: seed 'x' is not an integer"),
+            (("--seeds", "x"), "argument --seeds: seed count 'x' is not an integer"),
+            (("--max-passes", "x"), "argument --max-passes: value 'x' is not an integer"),
+            (("--jobs", "1.5"), "argument --jobs: value '1.5' is not an integer"),
+        ],
+    )
+    def test_non_integer_argument_named(self, fixture_files, tmp_path, capsys, flag, message):
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(star), *flag, "--csv", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -443,3 +490,10 @@ class TestCliMain:
         captured = capsys.readouterr()
         assert code == 0
         assert "cells=5 nets=3 pins=7 max_degree=3" in captured.out
+
+    @pytest.mark.parametrize("name, extra", [("tiny.net", []), ("tiny.txt", ["--format", "net"])])
+    def test_stats_on_plain_ibm_net(self, tmp_path, capsys, name, extra):
+        path = tmp_path / name
+        path.write_text(PLAIN_NET)
+        assert main(["stats", "--input", str(path), *extra]) == 0
+        assert "cells=3 nets=2 pins=4 max_degree=2" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 
 import fmpart.fm
 import fmpart.pairwise
-from conftest import C1, C2, C3, C4, C5, balanced_partition, bucket_gains
+from conftest import C1, C2, C3, C4, C5, balanced_partition, bucket_gains, filed_count
 from fmpart.fm import FmConfig, fm_pass, random_initial_partition
 from fmpart.gains import TIE_POLICIES, GainBucket, audit, compute_gain, init, move_and_update, select_max
 from fmpart.hypergraph import B1, B2, Partition, build, cut_count
@@ -88,7 +88,7 @@ class TestMoveAndUpdate:
         assert gains[C3] == 1
         assert gains[C5] is None  # locked: in neither bucket
         assert C5 not in st[B1] and C5 not in st[B2]
-        assert st[B1].size + st[B2].size == 4
+        assert filed_count(st) == 4
         audit(st, h_star, p_star)
 
     def test_isolated_move_changes_no_neighbor(self):
@@ -100,8 +100,9 @@ class TestMoveAndUpdate:
         assert bucket_gains(st) == before + [None]
         audit(st, h, p)
 
-    def test_locked_move_rejected(self, h_star, p_star):
-        st = init(h_star, p_star, "lifo")
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_locked_move_rejected(self, h_star, p_star, policy):
+        st = init(h_star, p_star, policy)
         move_and_update(st, h_star, p_star, C5)
         with pytest.raises(ValueError, match="locked"):
             move_and_update(st, h_star, p_star, C5)
@@ -120,7 +121,7 @@ class TestMoveAndUpdate:
                 assert move_and_update(st, h, p, c) == expected
                 audit(st, h, p)  # also checks filed gains == from-scratch
                 assert c not in st[B1] and c not in st[B2]
-                assert st[B1].size + st[B2].size == n - moves
+                assert filed_count(st) == n - moves
                 assert p.cut_count == cut_count(h, p.side)
 
     def test_gain_bound_holds_throughout(self):
@@ -201,7 +202,7 @@ class TestGainBucket:
             gains[c] = rng.randint(-5, 5)
             b.relocate(c, gains[c])
             b.audit()
-        assert b.size == 10
+        assert filed_count((b,)) == 10
 
     @STRUCTURES
     def test_remove_absent_cell_rejected(self, policy):
@@ -250,7 +251,7 @@ class TestPartitionAfterEveryMove:
             assert p == Partition.from_sides(h, p.side)
             moved.append(c)
             assert c not in state[B1] and c not in state[B2]
-            assert state[B1].size + state[B2].size == h.cell_count - len(moved)
+            assert filed_count(state) == h.cell_count - len(moved)
             return g
 
         monkeypatch.setattr(module, "move_and_update", checked)

@@ -55,10 +55,26 @@ class TestBuild:
         with pytest.raises(ValueError):
             build([[-1]], 3)
 
+    def test_negative_cell_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build([], -1)
+
     def test_degenerate_nets_retained(self):
         h = build([[], [0]], 2)
         assert h.net_count == 2
         assert h.pin_count == 1
+
+
+class TestFromSides:
+    @pytest.mark.parametrize("sides", [[0, 1, 0, 1], [0, 1, 0, 1, 0, 1], []])
+    def test_wrong_length_rejected(self, h_star, sides):
+        with pytest.raises(ValueError, match=f"expected 5 side entries, got {len(sides)}"):
+            Partition.from_sides(h_star, sides)
+
+    @pytest.mark.parametrize("bad", [2, -1, None])
+    def test_side_other_than_0_or_1_rejected(self, h_star, bad):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Partition.from_sides(h_star, [0, 1, bad, 1, 0])
 
 
 class TestCutCount:

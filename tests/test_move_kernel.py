@@ -78,7 +78,7 @@ def reference_move_and_update(buckets, h, p, c):
 
 def reference_select(bucket, rng):
     """One cell of the bucket's max slot in tie-policy order, or None."""
-    if bucket.size == 0:
+    if bucket.max_slot < 0:
         return None
     if bucket.chained:
         link = bucket.prv if bucket.policy == "fifo" else bucket.nxt
@@ -89,9 +89,9 @@ def reference_select(bucket, rng):
 
 def bucket_state(bucket):
     """Everything that fixes a bucket's order: slots, chain links or bags
-    with positions, the max slot and the size."""
+    with positions, and the max slot."""
     links = (bucket.nxt, bucket.prv) if bucket.chained else (bucket.bags, bucket.bag_pos)
-    return bucket.slot, links, bucket.max_slot, bucket.size
+    return bucket.slot, links, bucket.max_slot
 
 
 def instances(rng, count, max_cells):
@@ -182,7 +182,7 @@ def test_audit_every_k_steps_on_1k_cells(run, policy):
 
     def check(buckets, p, moved):
         step = len(audited) + 1
-        last = not (buckets[B1].size or buckets[B2].size)
+        last = buckets[B1].max_slot < 0 and buckets[B2].max_slot < 0
         if step % AUDIT_EVERY == 0 or last:
             audit(buckets, h, p)
             assert p == Partition.from_sides(h, p.side)

@@ -187,7 +187,7 @@ class TestBestPair:
 
         def checker(policy):
             def on_step(state, p, steps):
-                if not state[B1].size:
+                if state[B1].max_slot < 0:
                     return
                 gains = bucket_gains(state)
                 unlocked = [c for c in range(h.cell_count) if gains[c] is not None]
