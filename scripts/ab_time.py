@@ -3,6 +3,7 @@
 
     python3 scripts/ab_time.py --parent ../fmpart-parent --workload fm_large
     python3 scripts/ab_time.py --parent ../fmpart-parent --workload fm_large --tie-policy lifo
+    python3 scripts/ab_time.py --parent ../fmpart-parent --workload fm_large --algorithm fm_variant
 
 Whole-benchmark wall times drift between processes on a shared host, and
 the drift can hide a change of 10-20%. This script loads both checkouts'
@@ -11,9 +12,12 @@ the drift can hide a change of 10-20%. This script loads both checkouts'
 loops, swapping which goes first in each pair. A run loop is one
 `run_experiment` call over the workload's algorithms, seeds and pass cap,
 as in `perfbench/worker.py` (under --tie-policy, default that of `FmConfig`),
-timed with `time.process_time`. It prints the
-ratio of each pair (this checkout over --parent) and their median, and exits
-1 if the two checkouts ever give different rows (`elapsed_ms` aside).
+timed with `time.process_time`. --algorithm runs that one algorithm
+instead of the workload's own, for example the swap variant on the
+ibm01-sized `fm_large` netlist, which no benchmark workload runs. It
+prints the ratio of each pair (this checkout over --parent) and their
+median, and exits 1 if the two checkouts ever give different rows
+(`elapsed_ms` aside).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402
 import worker  # noqa: E402  (imports this checkout's fmpart)
+from fmpart.cli import RUNNERS  # noqa: E402
 from fmpart.fm import FmConfig  # noqa: E402
 from fmpart.gains import TIE_POLICIES  # noqa: E402
 
@@ -72,11 +77,14 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=8, help="timed pairs (default 8)")
     ap.add_argument("--tie-policy", choices=TIE_POLICIES, default=FmConfig.tie_policy,
                     help=f"tie policy of every run (default {FmConfig.tie_policy})")
+    ap.add_argument("--algorithm", choices=sorted(RUNNERS), default=None,
+                    help="run this algorithm instead of the workload's own")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be positive")
 
     spec = worker.WORKLOADS[args.workload]
+    algorithms = [args.algorithm] if args.algorithm else spec["algorithms"]
     clis = {"parent": load_cli(args.parent), "change": load_cli(ROOT)}
     with tempfile.TemporaryDirectory() as tmp:
         paths = [inst.path for inst in gen.write_workload(args.workload, args.seed, tmp)]
@@ -90,7 +98,7 @@ def main(argv=None) -> int:
         cfg = cli.FmConfig(seed=spec["seeds"][0], tie_policy=args.tie_policy, max_passes=spec["max_passes"])
         gc.collect()
         start = time.process_time()
-        rows, _summary = cli.run_experiment(entries[side], spec["algorithms"], spec["seeds"], cfg)
+        rows, _summary = cli.run_experiment(entries[side], algorithms, spec["seeds"], cfg)
         return time.process_time() - start, row_keys(rows)
 
     ratios = []
@@ -108,7 +116,7 @@ def main(argv=None) -> int:
             f"ratio {ratios[-1]:.3f}",
             flush=True,
         )
-    print(f"{args.workload} ({args.tie_policy}): median ratio {statistics.median(ratios):.3f} over {len(ratios)} pairs, "
+    print(f"{args.workload} {'/'.join(algorithms)} ({args.tie_policy}): median ratio {statistics.median(ratios):.3f} over {len(ratios)} pairs, "
           f"rows {'identical' if same_rows else 'DIFFER'}")
     return 0 if same_rows else 1
 

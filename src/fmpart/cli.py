@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_DOWN
 from typing import Optional, Sequence
@@ -300,19 +301,24 @@ def _report_failures(failures: Sequence[TaskFailure]) -> None:
 
 
 def _cmd_run(args, jobs: int) -> int:
-    entries, failed = _load_entries(args.input, args.format)
-    algorithms = ALGO_CHOICES[args.algo]
-    cfg = FmConfig(seed=1, tie_policy=args.tie, max_passes=args.max_passes)
-    failures: list[TaskFailure] = []
-    rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs, failures=failures)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            write_rows_csv(rows, fh)
-    else:
-        write_rows_csv(rows, sys.stdout)
-    if args.summary:
-        with open(args.summary, "w", newline="") as fh:
-            write_summary_csv(summary, args.seeds, fh)
+    with ExitStack() as outputs:
+        # an output that cannot be written is a bad argument, found before any task runs
+        try:
+            csv_fh, summary_fh = (
+                outputs.enter_context(open(path, "w", newline="")) if path else None
+                for path in (args.csv, args.summary)
+            )
+        except OSError as exc:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
+        entries, failed = _load_entries(args.input, args.format)
+        algorithms = ALGO_CHOICES[args.algo]
+        cfg = FmConfig(seed=1, tie_policy=args.tie, max_passes=args.max_passes)
+        failures: list[TaskFailure] = []
+        rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs, failures=failures)
+        write_rows_csv(rows, csv_fh or sys.stdout)
+        if summary_fh:
+            write_summary_csv(summary, args.seeds, summary_fh)
     _report_failures(failures)
     if not entries:
         print("error: nothing to do, no readable inputs", file=sys.stderr)

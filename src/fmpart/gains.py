@@ -196,7 +196,9 @@ class GainBucket:
         bag = self.bags[top]
         return bag[rng.randrange(len(bag))]
 
-    def iter_descending(self, rng: Optional[random.Random] = None) -> Iterator[tuple[int, int]]:
+    def iter_descending(
+        self, rng: Optional[random.Random] = None, after: int = _NONE, first: int = 0
+    ) -> Iterator[tuple[int, int]]:
         """All (cell, gain) pairs, highest gain slot first, produced on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
@@ -204,21 +206,36 @@ class GainBucket:
         fifo from the tail, and random starts at a uniform position in the
         slot's bag, drawn from rng on entering the slot, and wraps around.
         Empty slots are skipped, so k cells cost O(k + gain span).
+
+        Given after, a cell that such an order has produced, the walk resumes
+        just past it and draws nothing until it enters a lower slot; for a
+        bag, first is the position drawn on entering after's slot.
         """
+        top = self.max_slot if after == _NONE else self.slot[after]
         if self.chained:
             link = self.pick
             base = self.anchor + self.span
-            for end in range(self.anchor + self.max_slot, self.anchor - 1, -1):
+            c = after
+            for end in range(self.anchor + top, self.anchor - 1, -1):
                 g = end - base
-                c = link[end]
+                c = link[end if c < 0 else c]
                 while c != end:
                     yield c, g
                     c = link[c]
+                c = _NONE
             return
         if rng is None:
             raise ValueError("random tie policy needs an rng")
         bags = self.bags
-        for slot in range(self.max_slot, -1, -1):
+        if after != _NONE:
+            bag = bags[top]
+            n = len(bag)
+            i = self.bag_pos[after] + 1
+            # the slot's order runs from position first around to first - 1
+            for i in range(i, first + n if i > first else first):
+                yield bag[i - n if i >= n else i], top - self.span
+            top -= 1
+        for slot in range(top, -1, -1):
             bag = bags[slot]
             n = len(bag)
             if not n:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from itertools import islice
+from typing import Optional, Sequence
 
 from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, run_passes
 from .gains import Buckets, init, move_and_update
@@ -61,14 +62,10 @@ def pair_gain(h: Hypergraph, p: Partition, gains: Sequence[int], u: int, v: int)
     return gains[u] + gains[v] - correct_term(h, p, u, v)
 
 
-@dataclass
+@dataclass(slots=True)
 class PairSelectionState:
-    """One step's pair search over the live gain buckets.
-
-    `best_pair` walks each block lazily in nonincreasing gain order, within
-    a slot in the order of the buckets' tie policy, and draws cells only as
-    its heap asks.
-    """
+    """One step's pair search over the live gain buckets, and the exact pair
+    gains `best_pair` has evaluated for it."""
 
     buckets: Buckets
     pair_gain_evals: int = 0
@@ -79,17 +76,6 @@ def selection_state(buckets: Buckets) -> PairSelectionState:
     return PairSelectionState(buckets)
 
 
-def _reach(cells: list[tuple[int, int]], order: Iterator[tuple[int, int]], k: int) -> bool:
-    """Whether cells[k] exists, drawing one more (cell, gain) from order when k is next."""
-    if k < len(cells):
-        return True
-    entry = next(order, None)
-    if entry is None:
-        return False
-    cells.append(entry)
-    return True
-
-
 def best_pair(
     state: PairSelectionState,
     h: Hypergraph,
@@ -98,41 +84,86 @@ def best_pair(
 ) -> tuple[int, int, int]:
     """Cross-block pair with the highest exact swap gain, as (u, v, gain).
 
-    Candidates come off a max-heap keyed by the bound gains[u] + gains[v],
-    with both gains read from the buckets. The bound dominates the exact
-    pair gain, which is the bound less the nonnegative correction term, as
-    `pair_gain` computes it. Each pair (i, j) of the two gain orders enters
-    the heap once, from (i, j - 1), or from (i - 1, 0) when j is 0, so
-    bounds come off in nonincreasing order. The search stops once the next
-    bound is no higher than the best exact gain seen (Kernighan & Lin's
-    sorted-list scan) and returns the first exact maximizer met: ties break
-    by bucket order under the tie policy, with rng drawn only by the random
-    policy.
+    The search is Kernighan & Lin's sorted-list scan over each block's cells
+    in nonincreasing gain order, ties in the order of the buckets' tie
+    policy (`GainBucket.iter_descending`). Pairs come off a max-heap keyed
+    by the bound gains[u] + gains[v], which the exact gain (`pair_gain`)
+    never exceeds. Each pair (i, j) of the two orders enters the heap once,
+    from (i, j - 1), or from (i - 1, 0) when j is 0, so bounds come off in
+    nonincreasing order. The scan stops once the next bound is no higher
+    than the best exact gain seen, and returns the first exact maximizer.
+
+    The first pair is always the two top cells. So a step reads them
+    straight from the bucket arrays, takes their exact gain and returns at
+    once when their correction term is zero, as no other bound is higher.
+    Only otherwise does it fall back to the heap, resuming each order past
+    its top cell.
+
+    Only the random policy draws from rng: one draw on entering each slot
+    of each order, in the order the scan enters them. That is B1's top
+    slot, B2's, then the look-ahead into B2's second cell and into B1's,
+    each of which enters a lower slot when its top bag holds one cell; the
+    direct return makes these two draws too.
     """
     b1, b2 = state.buckets
-    if b1.max_slot < 0 or b2.max_slot < 0:
+    top_u = b1.max_slot
+    top_v = b2.max_slot
+    if top_u < 0 or top_v < 0:
         raise ValueError("a block has no unlocked cells")
-    order_u = b1.iter_descending(rng)
-    order_v = b2.iter_descending(rng)
-    us = [next(order_u)]
-    vs = [next(order_v)]
-    best: Optional[tuple[int, int, int]] = None
-    heap = [(-(us[0][1] + vs[0][1]), 0, 0)]
-    while heap:
+    if b1.chained:
+        u = b1.pick[b1.anchor + top_u]
+        v = b2.pick[b2.anchor + top_v]
+        first_u = first_v = 0
+    else:
+        bag_u = b1.bags[top_u]
+        first_u = rng.randrange(len(bag_u))
+        u = bag_u[first_u]
+        bag_v = b2.bags[top_v]
+        first_v = rng.randrange(len(bag_v))
+        v = bag_v[first_v]
+    correction = correct_term(h, p, u, v)
+    span = b1.span
+    gu = top_u - span
+    gv = top_v - span
+    best = (u, v, gu + gv - correction)
+    state.pair_gain_evals += 1
+    if not correction:
+        if not b1.chained:
+            if len(bag_v) == 1:
+                top_v = b2._top_from(top_v - 1)
+                if top_v >= 0:
+                    rng.randrange(len(b2.bags[top_v]))
+            if len(bag_u) == 1:
+                top_u = b1._top_from(top_u - 1)
+                if top_u >= 0:
+                    rng.randrange(len(b1.bags[top_u]))
+        return best
+    order_u = b1.iter_descending(rng, u, first_u)
+    order_v = b2.iter_descending(rng, v, first_v)
+    us = [(u, gu)]
+    vs = [(v, gv)]
+    heap: list[tuple[int, int, int]] = []
+    i = j = 0
+    while True:
+        # (i, j) is the pair just evaluated; its successors enter the heap
+        if j + 1 == len(vs):
+            vs.extend(islice(order_v, 1))
+        if j + 1 < len(vs):
+            heapq.heappush(heap, (-(gu + vs[j + 1][1]), i, j + 1))
+        if j == 0:
+            if i + 1 == len(us):
+                us.extend(islice(order_u, 1))
+            if i + 1 < len(us):
+                heapq.heappush(heap, (-(us[i + 1][1] + gv), i + 1, 0))
+        if not heap or -heap[0][0] <= best[2]:
+            return best
         negb, i, j = heapq.heappop(heap)
-        if best is not None and -negb <= best[2]:
-            break
         u, gu = us[i]
         v, gv = vs[j]
         g = -negb - correct_term(h, p, u, v)
         state.pair_gain_evals += 1
-        if best is None or g > best[2]:
+        if g > best[2]:
             best = (u, v, g)
-        if _reach(vs, order_v, j + 1):
-            heapq.heappush(heap, (-(gu + vs[j + 1][1]), i, j + 1))
-        if j == 0 and _reach(us, order_u, i + 1):
-            heapq.heappush(heap, (-(us[i + 1][1] + gv), i + 1, 0))
-    return best
 
 
 def variant_pass(

@@ -242,6 +242,22 @@ class TestCliMain:
         assert lines[1] == ",".join(SUMMARY_FIELDS)
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("flag", ["--csv", "--summary"])
+    @pytest.mark.parametrize("where, reason", [("missing/out.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_unwritable_output_exits_two_before_any_task(
+        self, fixture_files, tmp_path, capsys, monkeypatch, flag, where, reason
+    ):
+        star, _ = fixture_files
+        bad = str(tmp_path / where)
+        other = tmp_path / "other.csv"
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ran.append(a))
+        argv = ["run", "--input", str(star), "--seeds", "1", flag, bad]
+        argv += ["--summary" if flag == "--csv" else "--csv", str(other)]
+        assert main(argv) == 2
+        assert ran == []
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+
     def test_run_unreadable_file_skipped_with_error(self, fixture_files, tmp_path, capsys):
         star, _ = fixture_files
         code = main([

@@ -236,6 +236,31 @@ class TestGainBucket:
             )
             assert one.max_slot == two.max_slot
 
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_resumed_order_is_the_rest_of_the_order(self, policy):
+        # an order resumed past its k-th cell yields what the whole order
+        # yields after it and leaves rng as the whole order would
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randint(1, 14)
+            bucket = GainBucket(n, span=3, policy=policy)
+            bucket.fill(range(n), [rng.randint(-3, 3) for _ in range(n)])
+            seed = rng.random()
+            whole = list(bucket.iter_descending(random.Random(seed)))
+            for k in range(1, n + 1):
+                walk_rng = random.Random(seed)
+                walk = bucket.iter_descending(walk_rng)
+                head = [next(walk) for _ in range(k)]
+                cell, gain = head[-1]
+                # the first cell of after's slot sits at the position drawn on entering it
+                first = bucket.bag_pos[next(c for c, g in head if g == gain)] if policy == "random" else 0
+                resume_rng = random.Random()
+                resume_rng.setstate(walk_rng.getstate())
+                rest = list(bucket.iter_descending(resume_rng, cell, first))
+                assert head + rest == whole
+                assert rest == list(walk)
+                assert resume_rng.getstate() == walk_rng.getstate()
+
 
 class TestPartitionAfterEveryMove:
     """`move_and_update` moves the pins itself; after each call p must equal

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -31,6 +32,50 @@ def exact_balanced_partition(h, rng):
 
 def all_gains(h, p):
     return [compute_gain(h, p, c) for c in range(h.cell_count)]
+
+
+def copy_rng(rng):
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def heap_best_pair(state, h, p, rng):
+    """The pair search as a bound heap alone, the reference for `best_pair`:
+    Kernighan & Lin's sorted-list scan over two `iter_descending` orders,
+    with no direct path for the top pair."""
+
+    def reach(cells, order, k):
+        if k < len(cells):
+            return True
+        entry = next(order, None)
+        if entry is None:
+            return False
+        cells.append(entry)
+        return True
+
+    b1, b2 = state.buckets
+    order_u = b1.iter_descending(rng)
+    order_v = b2.iter_descending(rng)
+    us = [next(order_u)]
+    vs = [next(order_v)]
+    best = None
+    heap = [(-(us[0][1] + vs[0][1]), 0, 0)]
+    while heap:
+        negb, i, j = heapq.heappop(heap)
+        if best is not None and -negb <= best[2]:
+            break
+        u, gu = us[i]
+        v, gv = vs[j]
+        g = -negb - correct_term(h, p, u, v)
+        state.pair_gain_evals += 1
+        if best is None or g > best[2]:
+            best = (u, v, g)
+        if reach(vs, order_v, j + 1):
+            heapq.heappush(heap, (-(gu + vs[j + 1][1]), i, j + 1))
+        if j == 0 and reach(us, order_u, i + 1):
+            heapq.heappush(heap, (-(us[i + 1][1] + gv), i + 1, 0))
+    return best
 
 
 class TestPadDummy:
@@ -217,6 +262,55 @@ class TestBestPair:
                 variant_pass(pad_dummy(h), start.clone(), cfg, rng, on_step=checker(policy))
         for policy in TIE_POLICIES:
             assert checked[policy] > 100
+
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_matches_the_heap_scan_at_every_step(self, monkeypatch, policy):
+        # the direct top-pair path and its heap fallback against the heap
+        # scan alone: same pair and gain, same evaluations, same draws
+        seen = {"shared two-pin cut net": 0, "fallback": 0, "look-ahead enters a lower slot": 0}
+
+        def top_pair(buckets, rng):
+            pair = []
+            for bucket in buckets:
+                if bucket.chained:
+                    pair.append(bucket.pick[bucket.anchor + bucket.max_slot])
+                else:
+                    bag = bucket.bags[bucket.max_slot]
+                    pair.append(bag[rng.randrange(len(bag))])
+            return pair
+
+        def checked(state, h, p, rng):
+            b1, b2 = state.buckets
+            ref_rng = copy_rng(rng)
+            u, v = top_pair(state.buckets, copy_rng(rng))
+            # a two-pin net on u and v is cut, as they lie on opposite blocks
+            if any(len(h.nets[n]) == 2 for n in h.cell_nets[u] if n in h.cell_nets[v]):
+                seen["shared two-pin cut net"] += 1
+            if any(
+                not b.chained and len(b.bags[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0
+                for b in (b1, b2)
+            ):
+                seen["look-ahead enters a lower slot"] += 1
+            ref = selection_state(state.buckets)
+            want = heap_best_pair(ref, h, p, ref_rng)
+            got = best_pair(state, h, p, rng)
+            assert got == want
+            assert state.pair_gain_evals == ref.pair_gain_evals
+            assert rng.getstate() == ref_rng.getstate()
+            if ref.pair_gain_evals > 1:
+                seen["fallback"] += 1
+            return got
+
+        monkeypatch.setattr(fmpart.pairwise, "best_pair", checked)
+        rng = random.Random(40)
+        for _ in range(12):
+            n = rng.choice([40, 61, 100])
+            h = clustered_hypergraph(rng, n, n, cross_fraction=0.4, max_pins=3)
+            variant_run(h, FmConfig(seed=rng.randrange(1000), tie_policy=policy, max_passes=2))
+        assert seen["shared two-pin cut net"] > 0
+        assert seen["fallback"] > 0
+        if policy == "random":
+            assert seen["look-ahead enters a lower slot"] > 0
 
     def test_ordering_is_nonincreasing(self):
         rng = random.Random(34)
