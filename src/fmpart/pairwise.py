@@ -128,6 +128,8 @@ def best_pair(
     best = (u, v, gu + gv - correction)
     state.pair_gain_evals += 1
     if not correction:
+        # the pair is final, but the rng must advance as the heap scan's
+        # look-aheads would advance it: B2's, then B1's
         if not b1.chained:
             if len(bag_v) == 1:
                 top_v = b2._top_from(top_v - 1)
