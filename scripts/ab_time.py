@@ -15,8 +15,9 @@ as in `perfbench/worker.py` (under --tie-policy, default that of `FmConfig`),
 timed with `time.process_time`. --algorithm runs that one algorithm
 instead of the workload's own, for example the swap variant on the
 ibm01-sized `fm_large` netlist, which no benchmark workload runs. It
-prints the ratio of each pair (this checkout over --parent) and their
-median, and exits 1 if the two checkouts ever give different rows
+prints the ratio of each pair (this checkout over --parent), then their
+median, how many pairs this checkout won (ratio below 1) and the ratios'
+quartiles, and exits 1 if the two checkouts ever give different rows
 (`elapsed_ms` aside).
 """
 
@@ -116,7 +117,10 @@ def main(argv=None) -> int:
             f"ratio {ratios[-1]:.3f}",
             flush=True,
         )
-    print(f"{args.workload} {'/'.join(algorithms)} ({args.tie_policy}): median ratio {statistics.median(ratios):.3f} over {len(ratios)} pairs, "
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    wins = sum(r < 1 for r in ratios)
+    print(f"{args.workload} {'/'.join(algorithms)} ({args.tie_policy}): median ratio {statistics.median(ratios):.3f} "
+          f"over {len(ratios)} pairs, change won {wins}/{len(ratios)}, quartiles {q1:.3f}-{q3:.3f}, "
           f"rows {'identical' if same_rows else 'DIFFER'}")
     return 0 if same_rows else 1
 

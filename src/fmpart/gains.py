@@ -4,13 +4,16 @@ Gains live in [-P, +P] where P is the maximum cell degree, so each block
 keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is the two buckets: a cell's slot in
 the bucket of its block is the only record of its gain, and a cell is
-locked exactly when no bucket holds it. `init` fills them and binds one
-move for the pass, written for their structure over their own arrays.
+locked exactly when no bucket holds it. `init` fills them and binds the
+pass's move: one `GainBucket` operation per call for chains, and for bags (the
+default `random` tie policy) the same operations written inline over their
+arrays.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import B1, B2, Hypergraph, Partition
@@ -44,14 +47,15 @@ class GainBucket:
     ties by the policy the bucket was built for.
 
     During a pass the buckets are driven through the move that `init` binds
-    to their arrays (see `Buckets`): it does the removal and every
-    relocation inline, in the order `remove` and `relocate` would, and
-    writes `max_slot` back after each move, so the methods here see an exact
+    (see `Buckets`). For chains it calls `remove` and `relocate`
+    (`move_by_operations`). For bags it does the removal and every
+    relocation inline, in the order those calls would, and writes
+    `max_slot` back after each move, so the methods here see an exact
     bucket between moves.
     """
 
     __slots__ = (
-        "span", "policy", "chained", "slot", "max_slot",
+        "span", "chained", "slot", "max_slot",
         "anchor", "nxt", "prv", "pick", "bags", "bag_pos",
     )
 
@@ -59,7 +63,6 @@ class GainBucket:
         if policy not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {policy!r}")
         self.span = span
-        self.policy = policy
         self.chained = policy != "random"
         width = 2 * span + 1
         self.slot = [_NONE] * cell_count
@@ -197,7 +200,7 @@ class GainBucket:
         return bag[rng.randrange(len(bag))]
 
     def iter_descending(
-        self, rng: Optional[random.Random] = None, after: int = _NONE, first: int = 0
+        self, rng: Optional[random.Random] = None, after: int = _NONE
     ) -> Iterator[tuple[int, int]]:
         """All (cell, gain) pairs, highest gain slot first, produced on demand.
 
@@ -207,9 +210,9 @@ class GainBucket:
         slot's bag, drawn from rng on entering the slot, and wraps around.
         Empty slots are skipped, so k cells cost O(k + gain span).
 
-        Given after, a cell that such an order has produced, the walk resumes
-        just past it and draws nothing until it enters a lower slot; for a
-        bag, first is the position drawn on entering after's slot.
+        Given after, the first cell such an order produced in its slot (the
+        cell `select` drew, for the top slot), the walk resumes just past
+        it and draws nothing until it enters a lower slot.
         """
         top = self.max_slot if after == _NONE else self.slot[after]
         if self.chained:
@@ -230,9 +233,9 @@ class GainBucket:
         if after != _NONE:
             bag = bags[top]
             n = len(bag)
-            i = self.bag_pos[after] + 1
-            # the slot's order runs from position first around to first - 1
-            for i in range(i, first + n if i > first else first):
+            # the slot's order runs from after's position around to the one before it
+            first = self.bag_pos[after]
+            for i in range(first + 1, first + n):
                 yield bag[i - n if i >= n else i], top - self.span
             top -= 1
         for slot in range(top, -1, -1):
@@ -313,7 +316,8 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
     both built for tie_policy (see GainBucket), then bind the pass's move
-    to the pair, which is the pass state.
+    to the pair, which is the pass state: `move_by_operations` for chains,
+    and for bags the inlined move of `_bind_bags`.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -342,146 +346,88 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     for blk in (B1, B2):
         cells = [c for c in range(n) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
-    (_bind_chains if buckets[B1].chained else _bind_bags)(buckets, h, p)
+    if buckets[B1].chained:
+        # over a plain pair, so the bound move holds no reference to buckets
+        buckets.move = partial(move_by_operations, tuple(buckets), h, p)
+    else:
+        _bind_bags(buckets, h, p)
     return buckets
 
 
-def _bind_chains(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
-    """Bind the move for chained buckets (lifo and fifo).
-
-    The move does what `move_and_update` describes, with `GainBucket.remove`
-    and `GainBucket.relocate` written out in place, in the order the calls
-    would make them, and tracks both max slots in locals. A gain moves by one
-    slot at a time, so a rise can only lift the max slot, and a fall that
-    drains the max slot leaves the slot below it on top.
-    """
-    span = buckets[B1].span
-    anchor = buckets[B1].anchor
-    arrays = tuple((b.slot, b.nxt, b.prv, b) for b in buckets)
+def move_by_operations(buckets: Sequence[GainBucket], h: Hypergraph, p: Partition, c: int) -> int:
+    """The move `move_and_update` describes, one bucket operation per call:
+    `GainBucket.remove` for c, then a `GainBucket.relocate` for each
+    neighbor update, in the order the rule makes them. `init` binds it for
+    chained buckets, and `_bind_bags` writes the same operations inline."""
     side = p.side
-    sizes = p.block_size
-    counts = p.counts
-    cell_nets = h.cell_nets
+    f = side[c]
+    t = 1 - f
+    bucket_f = buckets[f]
+    bucket_t = buckets[t]
+    slot_f = bucket_f.slot
+    slot_t = bucket_t.slot
+    k = slot_f[c]
+    if k < 0:
+        raise ValueError(f"cell {c} is locked")
+    bucket_f.remove(c)
+    span = bucket_f.span
+    # the gain one slot above or below slot k is k + up or k + down
+    up = 1 - span
+    down = -1 - span
+    relocate_f = bucket_f.relocate
+    relocate_t = bucket_t.relocate
+    nets = h.cell_nets[c]
     pins_of = h.nets
-
-    def move(c: int) -> int:
-        f = side[c]
-        t = 1 - f
-        slot_f, nxt_f, prv_f, bucket_f = arrays[f]
-        slot_t, nxt_t, prv_t, bucket_t = arrays[t]
-        k = slot_f[c]
-        if k < 0:
-            raise ValueError(f"cell {c} is locked")
-        n = nxt_f[c]
-        q = prv_f[c]
-        nxt_f[q] = n
-        prv_f[n] = q
-        slot_f[c] = _NONE
-        top_f = bucket_f.max_slot
-        if n == q and k == top_f:
-            top_f = bucket_f._top_from(k - 1)
-        top_t = bucket_t.max_slot
-        count_f = counts[f]
-        count_t = counts[t]
-        nets = cell_nets[c]
-        for e in nets:
-            tc = count_t[e]
-            if tc == 0:
-                for x in pins_of[e]:
-                    old = slot_f[x]
-                    if old >= 0:
-                        n = nxt_f[x]
-                        q = prv_f[x]
-                        nxt_f[q] = n
-                        prv_f[n] = q
-                        old += 1
-                        s = anchor + old
-                        head = nxt_f[s]
-                        nxt_f[x] = head
-                        prv_f[x] = s
-                        prv_f[head] = x
-                        nxt_f[s] = x
-                        slot_f[x] = old
-                        if old > top_f:
-                            top_f = old
-            elif tc == 1:
-                for x in pins_of[e]:
-                    if side[x] == t:
-                        old = slot_t[x]
-                        if old >= 0:
-                            n = nxt_t[x]
-                            q = prv_t[x]
-                            nxt_t[q] = n
-                            prv_t[n] = q
-                            if n == q and old == top_t:
-                                top_t = old - 1
-                            old -= 1
-                            s = anchor + old
-                            head = nxt_t[s]
-                            nxt_t[x] = head
-                            prv_t[x] = s
-                            prv_t[head] = x
-                            nxt_t[s] = x
-                            slot_t[x] = old
-                        break
-        side[c] = t
-        sizes[f] -= 1
-        sizes[t] += 1
-        gain = k - span
-        p.cut_count -= gain
-        for e in nets:
-            fc = count_f[e] - 1
-            count_f[e] = fc
-            count_t[e] += 1
-            if fc == 0:
-                for x in pins_of[e]:
+    count_f = p.counts[f]
+    count_t = p.counts[t]
+    for e in nets:
+        tc = count_t[e]
+        if tc == 0:
+            for x in pins_of[e]:
+                old = slot_f[x]
+                if old >= 0:
+                    relocate_f(x, old + up)
+        elif tc == 1:
+            for x in pins_of[e]:
+                if side[x] == t:
                     old = slot_t[x]
                     if old >= 0:
-                        n = nxt_t[x]
-                        q = prv_t[x]
-                        nxt_t[q] = n
-                        prv_t[n] = q
-                        if n == q and old == top_t:
-                            top_t = old - 1
-                        old -= 1
-                        s = anchor + old
-                        head = nxt_t[s]
-                        nxt_t[x] = head
-                        prv_t[x] = s
-                        prv_t[head] = x
-                        nxt_t[s] = x
-                        slot_t[x] = old
-            elif fc == 1:
-                for x in pins_of[e]:
-                    if side[x] == f:
-                        old = slot_f[x]
-                        if old >= 0:
-                            n = nxt_f[x]
-                            q = prv_f[x]
-                            nxt_f[q] = n
-                            prv_f[n] = q
-                            old += 1
-                            s = anchor + old
-                            head = nxt_f[s]
-                            nxt_f[x] = head
-                            prv_f[x] = s
-                            prv_f[head] = x
-                            nxt_f[s] = x
-                            slot_f[x] = old
-                            if old > top_f:
-                                top_f = old
-                        break
-        bucket_f.max_slot = top_f
-        bucket_t.max_slot = top_t
-        return gain
-
-    buckets.move = move
+                        relocate_t(x, old + down)
+                    break
+    side[c] = t
+    sizes = p.block_size
+    sizes[f] -= 1
+    sizes[t] += 1
+    gain = k - span
+    p.cut_count -= gain
+    for e in nets:
+        fc = count_f[e] - 1
+        count_f[e] = fc
+        count_t[e] += 1
+        if fc == 0:
+            for x in pins_of[e]:
+                old = slot_t[x]
+                if old >= 0:
+                    relocate_t(x, old + down)
+        elif fc == 1:
+            for x in pins_of[e]:
+                if side[x] == f:
+                    old = slot_f[x]
+                    if old >= 0:
+                        relocate_f(x, old + up)
+                    break
+    return gain
 
 
 def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
-    """Bind the move for bagged buckets (random), as `_bind_chains` does
-    for chains. A swap-removal that leaves its bag nonempty cannot have
-    drained it, so only a cell that was last in its bag checks the max."""
+    """Bind the move for bagged buckets (random), the one move written out
+    in place: it does what `move_by_operations` does, with
+    `GainBucket.remove` and `GainBucket.relocate` inline in the order the
+    calls would make them, and tracks both max slots in locals. A gain
+    moves by one slot at a time, so a rise can only lift the max slot, and
+    a fall that drains the max slot leaves the slot below it on top. A
+    swap-removal that leaves its bag nonempty cannot have drained it, so
+    only a cell that was last in its bag checks the max."""
     span = buckets[B1].span
     arrays = tuple((b.slot, b.bags, b.bag_pos, b) for b in buckets)
     side = p.side
@@ -619,7 +565,9 @@ def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> in
     The transfer is done here, as `apply_move` would do it: side and sizes
     flip between the two loops, each net's counts move as the second loop
     reaches it, and the cut falls by c's gain, which is exact because c was
-    unlocked until this call. The work is done by the move `init` bound.
+    unlocked until this call. The work is done by the move `init` bound:
+    `move_by_operations` for chains and `_bind_bags`'s inlined copy of it
+    for bags.
     """
     return buckets.move(c)
 

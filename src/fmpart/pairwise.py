@@ -93,11 +93,11 @@ def best_pair(
     nonincreasing order. The scan stops once the next bound is no higher
     than the best exact gain seen, and returns the first exact maximizer.
 
-    The first pair is always the two top cells. So a step reads them
-    straight from the bucket arrays, takes their exact gain and returns at
-    once when their correction term is zero, as no other bound is higher.
-    Only otherwise does it fall back to the heap, resuming each order past
-    its top cell.
+    The first pair is always the two top cells. So a step draws them with
+    `GainBucket.select`, takes their exact gain and returns at once when
+    their correction term is zero, as no other bound is higher. Only
+    otherwise does it fall back to the heap, resuming each order past its
+    top cell.
 
     Only the random policy draws from rng: one draw on entering each slot
     of each order, in the order the scan enters them. That is B1's top
@@ -110,17 +110,8 @@ def best_pair(
     top_v = b2.max_slot
     if top_u < 0 or top_v < 0:
         raise ValueError("a block has no unlocked cells")
-    if b1.chained:
-        u = b1.pick[b1.anchor + top_u]
-        v = b2.pick[b2.anchor + top_v]
-        first_u = first_v = 0
-    else:
-        bag_u = b1.bags[top_u]
-        first_u = rng.randrange(len(bag_u))
-        u = bag_u[first_u]
-        bag_v = b2.bags[top_v]
-        first_v = rng.randrange(len(bag_v))
-        v = bag_v[first_v]
+    u = b1.select(rng)
+    v = b2.select(rng)
     correction = correct_term(h, p, u, v)
     span = b1.span
     gu = top_u - span
@@ -131,17 +122,17 @@ def best_pair(
         # the pair is final, but the rng must advance as the heap scan's
         # look-aheads would advance it: B2's, then B1's
         if not b1.chained:
-            if len(bag_v) == 1:
+            if len(b2.bags[top_v]) == 1:
                 top_v = b2._top_from(top_v - 1)
                 if top_v >= 0:
                     rng.randrange(len(b2.bags[top_v]))
-            if len(bag_u) == 1:
+            if len(b1.bags[top_u]) == 1:
                 top_u = b1._top_from(top_u - 1)
                 if top_u >= 0:
                     rng.randrange(len(b1.bags[top_u]))
         return best
-    order_u = b1.iter_descending(rng, u, first_u)
-    order_v = b2.iter_descending(rng, v, first_v)
+    order_u = b1.iter_descending(rng, u)
+    order_v = b2.iter_descending(rng, v)
     us = [(u, gu)]
     vs = [(v, gv)]
     heap: list[tuple[int, int, int]] = []

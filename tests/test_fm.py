@@ -156,9 +156,12 @@ class TestFmPass:
         # the gain updates the FM rule asks of each move, counted from the
         # state before it, come to about 0.73 per pin at every size and tie
         # policy. The move does each in O(1); its only other work is the
-        # max-slot scans, counted as slots inspected, about 0.055 per pin,
-        # where a move that rescanned from the top on every call would
-        # inspect several per pin
+        # max-slot scans, counted as slots inspected: at most 0.055 per pin
+        # under random, 0.056 under lifo and 0.058 under fifo. A chain move
+        # calls `relocate`, which scans from the slot below when a cell
+        # moving down drains the max slot; the inlined bag move steps down
+        # without a scan. A move that rescanned from the top on every call
+        # would inspect several per pin
         move = fmpart.fm.move_and_update
         top_from = GainBucket._top_from
         updates = scanned = 0

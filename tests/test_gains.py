@@ -238,8 +238,9 @@ class TestGainBucket:
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_resumed_order_is_the_rest_of_the_order(self, policy):
-        # an order resumed past its k-th cell yields what the whole order
-        # yields after it and leaves rng as the whole order would
+        # an order resumed past the first cell it yields in a slot yields
+        # what the whole order yields after it and leaves rng as the whole
+        # order would
         rng = random.Random(19)
         for _ in range(40):
             n = rng.randint(1, 14)
@@ -248,15 +249,14 @@ class TestGainBucket:
             seed = rng.random()
             whole = list(bucket.iter_descending(random.Random(seed)))
             for k in range(1, n + 1):
+                if k > 1 and whole[k - 2][1] == whole[k - 1][1]:
+                    continue
                 walk_rng = random.Random(seed)
                 walk = bucket.iter_descending(walk_rng)
                 head = [next(walk) for _ in range(k)]
-                cell, gain = head[-1]
-                # the first cell of after's slot sits at the position drawn on entering it
-                first = bucket.bag_pos[next(c for c, g in head if g == gain)] if policy == "random" else 0
                 resume_rng = random.Random()
                 resume_rng.setstate(walk_rng.getstate())
-                rest = list(bucket.iter_descending(resume_rng, cell, first))
+                rest = list(bucket.iter_descending(resume_rng, head[-1][0]))
                 assert head + rest == whole
                 assert rest == list(walk)
                 assert resume_rng.getstate() == walk_rng.getstate()
