@@ -46,24 +46,27 @@ def is_fmpart(name: str) -> bool:
     return name == "fmpart" or name.startswith("fmpart.")
 
 
-def load_cli(root: str):
-    """The `fmpart.cli` module of the checkout at root, imported afresh;
-    sys.modules and sys.path are left as they were."""
+def load_fmpart(root: str, *names: str):
+    """The `fmpart` package of the checkout at root, imported afresh along
+    with each submodule in names (`cli`, say), which is then an attribute
+    of it; sys.modules and sys.path are left as they were."""
     saved = {k: v for k, v in sys.modules.items() if is_fmpart(k)}
     for k in saved:
         del sys.modules[k]
     src = os.path.join(root, "src")
     sys.path.insert(0, src)
     try:
-        cli = importlib.import_module("fmpart.cli")
+        package = importlib.import_module("fmpart")
+        for name in names:
+            importlib.import_module(f"fmpart.{name}")
     finally:
         sys.path.remove(src)
         for k in [k for k in sys.modules if is_fmpart(k)]:
             del sys.modules[k]
         sys.modules.update(saved)
-    if not os.path.abspath(cli.__file__).startswith(os.path.join(os.path.abspath(src), "")):
-        raise SystemExit(f"fmpart.cli imported from {cli.__file__}, not from {src}")
-    return cli
+    if not os.path.abspath(package.__file__).startswith(os.path.join(os.path.abspath(src), "")):
+        raise SystemExit(f"fmpart imported from {package.__file__}, not from {src}")
+    return package
 
 
 def row_keys(rows) -> list[tuple]:
@@ -86,7 +89,7 @@ def main(argv=None) -> int:
 
     spec = worker.WORKLOADS[args.workload]
     algorithms = [args.algorithm] if args.algorithm else spec["algorithms"]
-    clis = {"parent": load_cli(args.parent), "change": load_cli(ROOT)}
+    clis = {"parent": load_fmpart(args.parent, "cli").cli, "change": load_fmpart(ROOT, "cli").cli}
     with tempfile.TemporaryDirectory() as tmp:
         paths = [inst.path for inst in gen.write_workload(args.workload, args.seed, tmp)]
         entries = {

@@ -5,14 +5,15 @@ keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is the two buckets: a cell's slot in
 the bucket of its block is the only record of its gain, and a cell is
 locked exactly when no bucket holds it. `init` fills them and binds the
-pass's move: one `GainBucket` operation per call for chains, and for bags (the
-default `random` tie policy) the same operations written inline over their
-arrays.
+pass's move: one `GainBucket` operation per call for lifo and fifo, and for
+bags (the default `random` tie policy) the same operations written inline
+over their lists.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -26,99 +27,76 @@ _NONE = -1
 class GainBucket:
     """Cells of one block filed by gain, with a max pointer.
 
-    A bucket keeps only the structure its tie policy reads, chosen when it
-    is built:
+    Each slot of ``members`` holds its cells in a container chosen by the
+    tie policy when the bucket is built:
 
-    - ``lifo`` and ``fifo``: a circular doubly linked chain per slot in
-      intrusive arrays, closed by one sentinel entry per slot after the
-      cells, so links never branch on an end. New cells are pushed at the
-      head, so head order is most-recent-first; lifo picks the head and
-      fifo the tail, by the link (``nxt`` or ``prv``) fixed as ``pick``.
-    - ``random``: an unordered array per slot (a bag) with swap-removal and
-      a per-cell position, read only while the cell is filed, so a uniform
-      pick costs O(1) instead of a chain walk; passes would otherwise go
-      quadratic.
+    - ``lifo`` and ``fifo``: an ``OrderedDict`` in entry order, oldest
+      first, as a cell enters at the end; ``order`` is ``reversed`` for
+      lifo and ``iter`` for fifo. Not a plain ``dict``: its iterators step
+      over the entries deleted since its last resize, so reading a slot
+      that cells keep leaving costs more than its size, and fifo passes
+      grow faster than their pin count.
+    - ``random`` (``order`` is None): an unordered list (a bag) with
+      swap-removal and a per-cell position, read only while the cell is
+      filed, so a uniform pick costs O(1) instead of a walk; passes would
+      otherwise go quadratic.
 
-    Chain order depends only on chain operations and bag order only on bag
-    operations, so either structure alone orders its cells exactly as a
-    bucket keeping both would. Insert, remove and relocate are O(1); the
-    max pointer falls back by linear scan when its slot drains, and is -1
-    exactly when the bucket is empty. `select` and `iter_descending` order
-    ties by the policy the bucket was built for.
+    Insert, remove and relocate are O(1); the max pointer falls back by
+    linear scan when its slot drains, and is -1 exactly when the bucket is
+    empty. `select` and `iter_descending` order ties by the policy the
+    bucket was built for.
 
     During a pass the buckets are driven through the move that `init` binds
-    (see `Buckets`). For chains it calls `remove` and `relocate`
+    (see `Buckets`). For lifo and fifo it calls `remove` and `relocate`
     (`move_by_operations`). For bags it does the removal and every
     relocation inline, in the order those calls would, and writes
     `max_slot` back after each move, so the methods here see an exact
     bucket between moves.
     """
 
-    __slots__ = (
-        "span", "chained", "slot", "max_slot",
-        "anchor", "nxt", "prv", "pick", "bags", "bag_pos",
-    )
+    __slots__ = ("span", "order", "slot", "max_slot", "members", "bag_pos")
 
     def __init__(self, cell_count: int, span: int, policy: str):
         if policy not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {policy!r}")
         self.span = span
-        self.chained = policy != "random"
+        self.order = {"lifo": reversed, "fifo": iter}.get(policy)
         width = 2 * span + 1
         self.slot = [_NONE] * cell_count
         self.max_slot = _NONE
-        if self.chained:
-            # slot k's sentinel is entry anchor + k; an empty slot links to itself
-            self.anchor = cell_count
-            self.nxt = [_NONE] * cell_count + list(range(cell_count, cell_count + width))
-            self.prv = list(self.nxt)
-            self.pick = self.prv if policy == "fifo" else self.nxt
-            self.bags = self.bag_pos = None
-        else:
-            self.bags: list[list[int]] = [[] for _ in range(width)]
+        if self.order is None:
+            self.members = [[] for _ in range(width)]
             self.bag_pos = [_NONE] * cell_count
-            self.anchor = self.nxt = self.prv = self.pick = None
+        else:
+            self.members = [OrderedDict() for _ in range(width)]
+            self.bag_pos = None
 
     def __contains__(self, cell: int) -> bool:
         return self.slot[cell] != _NONE
 
     def _top_from(self, slot: int) -> int:
         """The highest nonempty slot at or below slot, or -1."""
-        if self.chained:
-            nxt = self.nxt
-            s = self.anchor + slot
-            while slot >= 0 and nxt[s] == s:
-                slot -= 1
-                s -= 1
-        else:
-            bags = self.bags
-            while slot >= 0 and not bags[slot]:
-                slot -= 1
+        members = self.members
+        while slot >= 0 and not members[slot]:
+            slot -= 1
         return slot
 
     def fill(self, cells: Sequence[int], gains: Iterable[int]) -> None:
-        """Insert cells[i] at gains[i] for each i in turn: at the head of its
-        slot's chain or at the end of its slot's bag."""
+        """Insert cells[i] at gains[i] for each i in turn, at the end of its
+        slot."""
         span = self.span
         slot = self.slot
         top = self.max_slot
-        if self.chained:
-            nxt = self.nxt
-            prv = self.prv
-            anchor = self.anchor
+        if self.order is not None:
+            members = self.members
             for c, g in zip(cells, gains):
                 k = g + span
-                s = anchor + k
-                head = nxt[s]
-                nxt[c] = head
-                prv[c] = s
-                prv[head] = c
-                nxt[s] = c
+                members[k][c] = None
                 slot[c] = k
                 if k > top:
                     top = k
         else:
-            bags = self.bags
+            bags = self.members
             bag_pos = self.bag_pos
             for c, g in zip(cells, gains):
                 k = g + span
@@ -131,24 +109,21 @@ class GainBucket:
         self.max_slot = top
 
     def _unlink(self, cell: int) -> tuple[int, bool]:
-        """Take a bucketed cell out of its slot's chain or bag, leaving its
-        slot record; return that slot and whether it drained."""
+        """Take a bucketed cell out of its slot, leaving its slot record;
+        return that slot and whether it drained."""
         old = self.slot[cell]
         if old == _NONE:
             raise ValueError(f"cell {cell} not in bucket")
-        if self.chained:
-            n, p = self.nxt[cell], self.prv[cell]
-            self.nxt[p] = n
-            self.prv[n] = p
-            # both neighbours are the slot's sentinel only if it drained
-            return old, n == p
-        bag = self.bags[old]
-        last = bag.pop()
-        if last != cell:
-            pos = self.bag_pos[cell]
-            bag[pos] = last
-            self.bag_pos[last] = pos
-        return old, not bag
+        cells = self.members[old]
+        if self.order is not None:
+            del cells[cell]
+        else:
+            last = cells.pop()
+            if last != cell:
+                pos = self.bag_pos[cell]
+                cells[pos] = last
+                self.bag_pos[last] = pos
+        return old, not cells
 
     def remove(self, cell: int) -> None:
         old, drained = self._unlink(cell)
@@ -158,22 +133,15 @@ class GainBucket:
 
     def relocate(self, cell: int, gain: int) -> None:
         """Move a bucketed cell to the slot of gain, as remove then insert
-        would: the cell enters the new slot at the chain head or at the end
-        of the bag."""
+        would: the cell enters the new slot at its end."""
         old, drained = self._unlink(cell)
         new = gain + self.span
-        if self.chained:
-            nxt, prv = self.nxt, self.prv
-            s = self.anchor + new
-            head = nxt[s]
-            nxt[cell] = head
-            prv[cell] = s
-            prv[head] = cell
-            nxt[s] = cell
+        cells = self.members[new]
+        if self.order is not None:
+            cells[cell] = None
         else:
-            bag = self.bags[new]
-            self.bag_pos[cell] = len(bag)
-            bag.append(cell)
+            self.bag_pos[cell] = len(cells)
+            cells.append(cell)
         self.slot[cell] = new
         top = self.max_slot
         if new > top:
@@ -182,22 +150,19 @@ class GainBucket:
             # the cell moved down out of the max slot; the scan stops at new
             self.max_slot = self._top_from(old - 1)
 
-    def max_gain(self) -> Optional[int]:
-        return None if self.max_slot == _NONE else self.max_slot - self.span
-
     def select(self, rng: Optional[random.Random] = None) -> Optional[int]:
         """A cell of the max slot, or None if the bucket is empty: lifo picks
-        the head of the slot's chain, fifo its tail, and random a uniform
-        member of its bag, drawn from rng."""
+        the slot's newest cell, fifo its oldest, and random a uniform member
+        of its bag, drawn from rng."""
         top = self.max_slot
         if top < 0:
             return None
-        if self.chained:
-            return self.pick[self.anchor + top]
+        cells = self.members[top]
+        if self.order is not None:
+            return next(self.order(cells))
         if rng is None:
             raise ValueError("random tie policy needs an rng")
-        bag = self.bags[top]
-        return bag[rng.randrange(len(bag))]
+        return cells[rng.randrange(len(cells))]
 
     def iter_descending(
         self, rng: Optional[random.Random] = None, after: int = _NONE
@@ -205,33 +170,32 @@ class GainBucket:
         """All (cell, gain) pairs, highest gain slot first, produced on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
-        the one `select` would pick: lifo walks the chain from the head,
-        fifo from the tail, and random starts at a uniform position in the
-        slot's bag, drawn from rng on entering the slot, and wraps around.
-        Empty slots are skipped, so k cells cost O(k + gain span).
+        the one `select` would pick: lifo reads the slot newest first, fifo
+        oldest first, and random starts at a uniform position in the slot's
+        bag, drawn from rng on entering the slot, and wraps around. Empty
+        slots are skipped, so k cells cost O(k + gain span).
 
         Given after, the first cell such an order produced in its slot (the
         cell `select` drew, for the top slot), the walk resumes just past
         it and draws nothing until it enters a lower slot.
         """
         top = self.max_slot if after == _NONE else self.slot[after]
-        if self.chained:
-            link = self.pick
-            base = self.anchor + self.span
-            c = after
-            for end in range(self.anchor + top, self.anchor - 1, -1):
-                g = end - base
-                c = link[end if c < 0 else c]
-                while c != end:
+        members = self.members
+        order = self.order
+        if order is not None:
+            for slot in range(top, -1, -1):
+                g = slot - self.span
+                cells = order(members[slot])
+                if after != _NONE:
+                    next(cells)  # after, the slot's first cell
+                    after = _NONE
+                for c in cells:
                     yield c, g
-                    c = link[c]
-                c = _NONE
             return
         if rng is None:
             raise ValueError("random tie policy needs an rng")
-        bags = self.bags
         if after != _NONE:
-            bag = bags[top]
+            bag = members[top]
             n = len(bag)
             # the slot's order runs from after's position around to the one before it
             first = self.bag_pos[after]
@@ -239,7 +203,7 @@ class GainBucket:
                 yield bag[i - n if i >= n else i], top - self.span
             top -= 1
         for slot in range(top, -1, -1):
-            bag = bags[slot]
+            bag = members[slot]
             n = len(bag)
             if not n:
                 continue
@@ -252,35 +216,15 @@ class GainBucket:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
         seen = 0
         top = _NONE
-        cell_count = len(self.slot)
-        for slot in range(2 * self.span + 1):
-            if self.chained:
-                members = []
-                end = self.anchor + slot
-                prev = end
-                c = self.nxt[end]
-                while c != end:
-                    if not 0 <= c < cell_count or len(members) >= cell_count:
-                        raise AssertionError(f"slot {slot}: chain leaves its cells")
-                    if self.slot[c] != slot:
-                        raise AssertionError(f"cell {c}: slot record disagrees with chain")
-                    if self.prv[c] != prev:
-                        raise AssertionError(f"cell {c}: broken prev link")
-                    members.append(c)
-                    prev = c
-                    c = self.nxt[c]
-                if self.prv[end] != prev:
-                    raise AssertionError(f"slot {slot}: broken tail link")
-            else:
-                members = self.bags[slot]
-                for pos, cell in enumerate(members):
-                    if self.slot[cell] != slot:
-                        raise AssertionError(f"cell {cell}: slot record disagrees with bag")
-                    if self.bag_pos[cell] != pos:
-                        raise AssertionError(f"cell {cell}: stale bag position")
-            if members:
+        for slot, cells in enumerate(self.members):
+            for pos, cell in enumerate(cells):
+                if self.slot[cell] != slot:
+                    raise AssertionError(f"cell {cell}: slot record disagrees with slot {slot}")
+                if self.bag_pos is not None and self.bag_pos[cell] != pos:
+                    raise AssertionError(f"cell {cell}: stale bag position")
+            if cells:
                 top = slot
-            seen += len(members)
+            seen += len(cells)
         if sum(1 for s in self.slot if s != _NONE) != seen:
             raise AssertionError("slot records disagree with slot contents")
         if self.max_slot != top:
@@ -316,8 +260,8 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
     both built for tie_policy (see GainBucket), then bind the pass's move
-    to the pair, which is the pass state: `move_by_operations` for chains,
-    and for bags the inlined move of `_bind_bags`.
+    to the pair, which is the pass state: `move_by_operations` for lifo and
+    fifo, and for bags the inlined move of `_bind_bags`.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -346,7 +290,7 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     for blk in (B1, B2):
         cells = [c for c in range(n) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
-    if buckets[B1].chained:
+    if buckets[B1].order is not None:
         # over a plain pair, so the bound move holds no reference to buckets
         buckets.move = partial(move_by_operations, tuple(buckets), h, p)
     else:
@@ -358,7 +302,7 @@ def move_by_operations(buckets: Sequence[GainBucket], h: Hypergraph, p: Partitio
     """The move `move_and_update` describes, one bucket operation per call:
     `GainBucket.remove` for c, then a `GainBucket.relocate` for each
     neighbor update, in the order the rule makes them. `init` binds it for
-    chained buckets, and `_bind_bags` writes the same operations inline."""
+    lifo and fifo, and `_bind_bags` writes the same operations inline."""
     side = p.side
     f = side[c]
     t = 1 - f
@@ -429,7 +373,7 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
     swap-removal that leaves its bag nonempty cannot have drained it, so
     only a cell that was last in its bag checks the max."""
     span = buckets[B1].span
-    arrays = tuple((b.slot, b.bags, b.bag_pos, b) for b in buckets)
+    arrays = tuple((b.slot, b.members, b.bag_pos, b) for b in buckets)
     side = p.side
     sizes = p.block_size
     counts = p.counts
@@ -566,8 +510,8 @@ def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> in
     flip between the two loops, each net's counts move as the second loop
     reaches it, and the cut falls by c's gain, which is exact because c was
     unlocked until this call. The work is done by the move `init` bound:
-    `move_by_operations` for chains and `_bind_bags`'s inlined copy of it
-    for bags.
+    `move_by_operations` for lifo and fifo and `_bind_bags`'s inlined copy
+    of it for bags.
     """
     return buckets.move(c)
 

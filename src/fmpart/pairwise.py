@@ -121,15 +121,15 @@ def best_pair(
     if not correction:
         # the pair is final, but the rng must advance as the heap scan's
         # look-aheads would advance it: B2's, then B1's
-        if not b1.chained:
-            if len(b2.bags[top_v]) == 1:
+        if b1.order is None:
+            if len(b2.members[top_v]) == 1:
                 top_v = b2._top_from(top_v - 1)
                 if top_v >= 0:
-                    rng.randrange(len(b2.bags[top_v]))
-            if len(b1.bags[top_u]) == 1:
+                    rng.randrange(len(b2.members[top_v]))
+            if len(b1.members[top_u]) == 1:
                 top_u = b1._top_from(top_u - 1)
                 if top_u >= 0:
-                    rng.randrange(len(b1.bags[top_u]))
+                    rng.randrange(len(b1.members[top_u]))
         return best
     order_u = b1.iter_descending(rng, u)
     order_v = b2.iter_descending(rng, v)

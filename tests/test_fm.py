@@ -157,8 +157,8 @@ class TestFmPass:
         # state before it, come to about 0.73 per pin at every size and tie
         # policy. The move does each in O(1); its only other work is the
         # max-slot scans, counted as slots inspected: at most 0.055 per pin
-        # under random, 0.056 under lifo and 0.058 under fifo. A chain move
-        # calls `relocate`, which scans from the slot below when a cell
+        # under random, 0.056 under lifo and 0.058 under fifo. A lifo or fifo
+        # move calls `relocate`, which scans from the slot below when a cell
         # moving down drains the max slot; the inlined bag move steps down
         # without a scan. A move that rescanned from the top on every call
         # would inspect several per pin

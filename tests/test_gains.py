@@ -38,16 +38,16 @@ class TestInit:
     def test_fixture_state(self, h_star, p_star):
         st = init(h_star, p_star, "lifo")
         assert bucket_gains(st) == [0, 0, -1, -1, -1]  # no cell locked
-        assert st[B1].max_gain() == -1
-        assert st[B2].max_gain() == 0
+        assert st[B1].max_slot - st[B1].span == -1
+        assert st[B2].max_slot - st[B2].span == 0
         audit(st, h_star, p_star)
 
     def test_empty_hypergraph(self):
         h = build([], 0)
         p = Partition.from_sides(h, [])
         st = init(h, p, "lifo")
-        assert st[B1].max_gain() is None
-        assert st[B2].max_gain() is None
+        assert st[B1].max_slot == -1
+        assert st[B2].max_slot == -1
 
     def test_random_instances_audit_clean(self):
         rng = random.Random(14)
@@ -172,7 +172,8 @@ class TestSelectMax:
             GainBucket(2, span=1, policy="best")
 
 
-# one tie policy per bucket structure: chains serve lifo and fifo, bags random
+# one tie policy per bucket structure: ordered slots ("chain") serve lifo and
+# fifo, bags random
 STRUCTURES = pytest.mark.parametrize("policy", ["lifo", "random"], ids=["chain", "bag"])
 
 
@@ -181,14 +182,14 @@ class TestGainBucket:
     def test_max_pointer_falls_back_on_drain(self, policy):
         b = GainBucket(4, span=3, policy=policy)
         b.fill((0, 1, 2), (2, 2, -1))
-        assert b.max_gain() == 2
+        assert b.max_slot - b.span == 2
         b.remove(0)
-        assert b.max_gain() == 2
+        assert b.max_slot - b.span == 2
         b.remove(1)
-        assert b.max_gain() == -1
+        assert b.max_slot - b.span == -1
         b.audit()
         b.remove(2)
-        assert b.max_gain() is None
+        assert b.max_slot == -1
         b.audit()
 
     @STRUCTURES
@@ -235,6 +236,49 @@ class TestGainBucket:
                 two.iter_descending(random.Random(seed))
             )
             assert one.max_slot == two.max_slot
+
+    @pytest.mark.parametrize("policy", ["lifo", "fifo"])
+    def test_tie_order_after_churn_matches_a_list_model(self, policy):
+        # the model files a cell at the end of its slot's list whenever it
+        # enters the slot, by fill or relocate (also into the slot it left);
+        # lifo reads each slot newest first, fifo oldest first
+        rng = random.Random(20)
+        span = 3
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            bucket = GainBucket(n, span, policy)
+            model = [[] for _ in range(2 * span + 1)]
+            for _ in range(60):
+                filed = [c for c in range(n) if c in bucket]
+                free = [c for c in range(n) if c not in bucket]
+                kind = rng.random()
+                if free and (not filed or kind < 0.3):
+                    cells = rng.sample(free, rng.randint(1, len(free)))
+                    gains = [rng.randint(-span, span) for _ in cells]
+                    bucket.fill(cells, gains)
+                    for c, g in zip(cells, gains):
+                        model[g + span].append(c)
+                else:
+                    c = rng.choice(filed)
+                    next(cells for cells in model if c in cells).remove(c)
+                    if kind < 0.5:
+                        bucket.remove(c)
+                    else:
+                        g = rng.randint(-span, span)
+                        bucket.relocate(c, g)
+                        model[g + span].append(c)
+                bucket.audit()
+                want = [
+                    (c, k - span)
+                    for k in range(2 * span, -1, -1)
+                    for c in (model[k][::-1] if policy == "lifo" else model[k])
+                ]
+                assert list(bucket.iter_descending()) == want
+                assert bucket.select() == (want[0][0] if want else None)
+                for i, (c, g) in enumerate(want):
+                    if i == 0 or want[i - 1][1] != g:
+                        # resumed past the first cell of its slot
+                        assert list(bucket.iter_descending(after=c)) == want[i + 1:]
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_resumed_order_is_the_rest_of_the_order(self, policy):

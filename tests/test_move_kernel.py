@@ -20,17 +20,19 @@ def reference_select(bucket, rng):
     """One cell of the bucket's max slot in tie-policy order, or None."""
     if bucket.max_slot < 0:
         return None
-    if bucket.chained:
-        return bucket.pick[bucket.anchor + bucket.max_slot]
-    bag = bucket.bags[bucket.max_slot]
-    return bag[rng.randrange(len(bag))]
+    cells = list(bucket.members[bucket.max_slot])
+    if bucket.order is reversed:
+        return cells[-1]
+    if bucket.order is iter:
+        return cells[0]
+    return cells[rng.randrange(len(cells))]
 
 
 def bucket_state(bucket):
-    """Everything that fixes a bucket's order: slots, chain links or bags
-    with positions, and the max slot."""
-    links = (bucket.nxt, bucket.prv) if bucket.chained else (bucket.bags, bucket.bag_pos)
-    return bucket.slot, links, bucket.max_slot
+    """Everything that fixes a bucket's order: slots, each slot's cells in
+    order (as lists, since dicts compare equal in any order), bag positions
+    and the max slot."""
+    return bucket.slot, [list(cells) for cells in bucket.members], bucket.bag_pos, bucket.max_slot
 
 
 def instances(rng, count, max_cells):
@@ -47,8 +49,8 @@ def instances(rng, count, max_cells):
 class TestKernelMatchesReference:
     """After every move of a pass, the bound move must leave exactly what the
     per-operation move leaves on a mirror of the pass state, with every
-    filed gain exact. For chains the bound move is the per-operation move
-    itself, so there the audit is what checks it."""
+    filed gain exact. For lifo and fifo the bound move is the per-operation
+    move itself, so there the audit is what checks it."""
 
     @staticmethod
     def mirror_every_move(monkeypatch, module):

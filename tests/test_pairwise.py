@@ -272,11 +272,13 @@ class TestBestPair:
         def top_pair(buckets, rng):
             pair = []
             for bucket in buckets:
-                if bucket.chained:
-                    pair.append(bucket.pick[bucket.anchor + bucket.max_slot])
+                cells = list(bucket.members[bucket.max_slot])
+                if bucket.order is reversed:
+                    pair.append(cells[-1])
+                elif bucket.order is iter:
+                    pair.append(cells[0])
                 else:
-                    bag = bucket.bags[bucket.max_slot]
-                    pair.append(bag[rng.randrange(len(bag))])
+                    pair.append(cells[rng.randrange(len(cells))])
             return pair
 
         def checked(state, h, p, rng):
@@ -287,7 +289,7 @@ class TestBestPair:
             if any(len(h.nets[n]) == 2 for n in h.cell_nets[u] if n in h.cell_nets[v]):
                 seen["shared two-pin cut net"] += 1
             if any(
-                not b.chained and len(b.bags[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0
+                b.order is None and len(b.members[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0
                 for b in (b1, b2)
             ):
                 seen["look-ahead enters a lower slot"] += 1
