@@ -300,7 +300,18 @@ def _report_failures(failures: Sequence[TaskFailure]) -> None:
         print(f"error: {f.label} {f.algorithm} seed {f.seed}: {f.error}", file=sys.stderr)
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_run(args, jobs: int) -> int:
+    if args.csv and args.summary and _same_file(args.csv, args.summary):
+        # both handles would truncate the one file, and the rows would overwrite the summary
+        print(f"error: --csv and --summary name the same file: {args.summary}", file=sys.stderr)
+        return 2
     with ExitStack() as outputs:
         # an output that cannot be written is a bad argument, found before any task runs
         try:

@@ -14,12 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .gains import TIE_POLICIES, Buckets, init, move_and_update, select_max
+from .gains import TIE_POLICIES, Buckets, StepHook, bag_steps, init, move_and_update, select_max
 from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
-
-# Called after every step of a pass with the live buckets, the partition and
-# the pass's log of moved cells so far (two cells per swap step).
-StepHook = Callable[[Buckets, Partition, list[int]], None]
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,8 @@ def random_initial_partition(h: Hypergraph, rng: random.Random) -> Partition:
 def _source_block(buckets: Buckets, p: Partition) -> Optional[int]:
     """Pick the block to move from: the larger one; on equal sizes the one
     with the higher max gain, B1 on a tie. A block with no unlocked cell
-    yields to the other, and with none left there is no block.
+    yields to the other, and with none left there is no block. `bag_steps`
+    applies the same rule inline.
 
     Both buckets share one gain span, so their max slots compare as their
     max gains do; an empty bucket's max slot is -1."""
@@ -171,7 +168,8 @@ def fm_pass(
     The best prefix is the earliest one of minimum cut among those with
     |S(B1) - S(B2)| <= 1; from an unbalanced start the first balanced prefix
     beats the start whatever its cut, and with none the pass keeps nothing.
-    On return p sits at that prefix's configuration.
+    On return p sits at that prefix's configuration. Over bags (random)
+    the steps are `bag_steps`; otherwise this loop's calls make them.
     """
     buckets = init(h, p, cfg.tie_policy)
     sizes = p.block_size
@@ -180,6 +178,9 @@ def fm_pass(
     # an unbalanced start scores above every reachable cut, so the first
     # balanced prefix beats it
     best_t, best_cut = 0, (initial_cut if balanced_start else h.net_count + 1)
+    if buckets[B1].order is None:
+        moved, best_t, best_cut = bag_steps(buckets, h, p, rng, best_cut, on_step)
+        return close_pass(h, p, initial_cut, moved, best_t, best_cut if best_t else initial_cut)
     moved: list[int] = []
     while True:
         blk = _source_block(buckets, p)

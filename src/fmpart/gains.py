@@ -4,17 +4,17 @@ Gains live in [-P, +P] where P is the maximum cell degree, so each block
 keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is the two buckets: a cell's slot in
 the bucket of its block is the only record of its gain, and a cell is
-locked exactly when no bucket holds it. `init` fills them and binds the
-pass's move: one `GainBucket` operation per call for lifo and fifo, and for
-bags (the default `random` tie policy) the same operations written inline
-over their lists.
+locked exactly when no bucket holds it. `init` fills them. Passes over
+lifo and fifo buckets move cells with `move_by_operations`, one
+`GainBucket` operation per call; passes over bags (the default `random`
+tie policy) run `bag_steps`, one step loop with the same operations
+written inline over the bags' lists.
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import B1, B2, Hypergraph, Partition
@@ -46,12 +46,13 @@ class GainBucket:
     empty. `select` and `iter_descending` order ties by the policy the
     bucket was built for.
 
-    During a pass the buckets are driven through the move that `init` binds
-    (see `Buckets`). For lifo and fifo it calls `remove` and `relocate`
-    (`move_by_operations`). For bags it does the removal and every
-    relocation inline, in the order those calls would, and writes
-    `max_slot` back after each move, so the methods here see an exact
-    bucket between moves.
+    During a pass, lifo and fifo buckets are moved by `move_by_operations`,
+    which calls `remove` and `relocate`. Bags are moved by `bag_steps`, the
+    pass's step loop, which does the removal and every relocation inline,
+    in the order those calls would, and keeps the max slots in locals. It
+    writes `max_slot` back before it hands the buckets to a pair search or
+    a step hook, and when the pass ends, so the methods here see an exact
+    bucket whenever they are called.
     """
 
     __slots__ = ("span", "order", "slot", "max_slot", "members", "bag_pos")
@@ -231,12 +232,12 @@ class GainBucket:
             raise AssertionError("max pointer is not the highest nonempty slot")
 
 
-class Buckets(tuple):
-    """The state of one pass: B1's and B2's `GainBucket`, in that order, with
-    a move bound by `init` to the buckets' arrays and to the graph and
-    partition the buckets were filled from."""
+# The state of one pass: B1's and B2's `GainBucket`, in that order.
+Buckets = tuple[GainBucket, GainBucket]
 
-    move: Callable[[int], int]
+# Called after every step of a pass with the live buckets, the partition and
+# the pass's log of moved cells so far (two cells per swap step).
+StepHook = Callable[[Buckets, Partition, list[int]], None]
 
 
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
@@ -259,9 +260,9 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 
 def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
-    both built for tie_policy (see GainBucket), then bind the pass's move
-    to the pair, which is the pass state: `move_by_operations` for lifo and
-    fifo, and for bags the inlined move of `_bind_bags`.
+    both built for tie_policy (see GainBucket), and return the pair, which
+    is the pass state. A pass moves lifo and fifo cells with
+    `move_by_operations` and runs `bag_steps` over bags.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -269,7 +270,7 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """
     n = h.cell_count
     span = h.max_cell_degree
-    buckets = Buckets((GainBucket(n, span, tie_policy), GainBucket(n, span, tie_policy)))
+    buckets = (GainBucket(n, span, tie_policy), GainBucket(n, span, tie_policy))
     gain = [0] * n
     side = p.side
     for pins, a, b in zip(h.nets, *p.counts):
@@ -290,19 +291,28 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     for blk in (B1, B2):
         cells = [c for c in range(n) if side[c] == blk]
         buckets[blk].fill(cells, [gain[c] for c in cells])
-    if buckets[B1].order is not None:
-        # over a plain pair, so the bound move holds no reference to buckets
-        buckets.move = partial(move_by_operations, tuple(buckets), h, p)
-    else:
-        _bind_bags(buckets, h, p)
     return buckets
 
 
-def move_by_operations(buckets: Sequence[GainBucket], h: Hypergraph, p: Partition, c: int) -> int:
-    """The move `move_and_update` describes, one bucket operation per call:
-    `GainBucket.remove` for c, then a `GainBucket.relocate` for each
-    neighbor update, in the order the rule makes them. `init` binds it for
-    lifo and fifo, and `_bind_bags` writes the same operations inline."""
+def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
+    """Lock c, move it, adjust unlocked neighbor gains in place, and return
+    c's gain: one `GainBucket.remove` for c, then one `GainBucket.relocate`
+    per neighbor update, in the order of the rule below. Passes over lifo
+    and fifo call it as `move_and_update`; `bag_steps` inlines it for bags.
+
+    For each net of c, with F the departing block and T the receiving one:
+    before the pin transfer, a T-count of 0 raises every unlocked pin and a
+    T-count of 1 lowers the lone T-side pin; after the transfer, an F-count
+    of 0 lowers every unlocked pin and an F-count of 1 raises the lone
+    F-side pin. A T-count of 0 puts every pin on F, and an F-count of 0
+    after the transfer puts every pin on T, so each update knows its bucket,
+    and a pin is unlocked exactly when that bucket files it.
+
+    The transfer is done here, as `apply_move` would do it: side and sizes
+    flip between the two loops, each net's counts move as the second loop
+    reaches it, and the cut falls by c's gain, which is exact because c was
+    unlocked until this call.
+    """
     side = p.side
     f = side[c]
     t = 1 - f
@@ -363,42 +373,86 @@ def move_by_operations(buckets: Sequence[GainBucket], h: Hypergraph, p: Partitio
     return gain
 
 
-def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
-    """Bind the move for bagged buckets (random), the one move written out
-    in place: it does what `move_by_operations` does, with
-    `GainBucket.remove` and `GainBucket.relocate` inline in the order the
-    calls would make them, and tracks both max slots in locals. A gain
-    moves by one slot at a time, so a rise can only lift the max slot, and
-    a fall that drains the max slot leaves the slot below it on top. A
-    swap-removal that leaves its bag nonempty cannot have drained it, so
-    only a cell that was last in its bag checks the max."""
-    span = buckets[B1].span
-    arrays = tuple((b.slot, b.members, b.bag_pos, b) for b in buckets)
+# the name the passes call the move by, so a tracer can wrap it in each module
+move_and_update = move_by_operations
+
+
+def bag_steps(
+    buckets: Buckets,
+    h: Hypergraph,
+    p: Partition,
+    rng: random.Random,
+    best_cut: int,
+    on_step: Optional[StepHook] = None,
+    pick_pair: Optional[Callable[[], tuple[int, int]]] = None,
+) -> tuple[list[int], int, int]:
+    """Run a pass's steps over bags (random) until every cell is locked;
+    return the moved cells, the length of the earliest balanced prefix with
+    a cut below best_cut (0 if none) and its cut. A step is one FM move:
+    the rule of `fm._source_block` and a draw from that block's max slot,
+    `rng.randrange(n)` as `Random` computes it; or, with pick_pair, u and
+    then v of the pair pick_pair() returns.
+
+    The move is the one copy of `move_by_operations` written inline, its
+    `remove` and `relocate` calls in the same order. The max slots and cut
+    live in locals, written back before pick_pair, on_step and return. A
+    gain moves one slot at a time, so a rise can only lift the max slot, a
+    fall that drains it leaves the slot below on top, and only a cell that
+    was last in its bag can drain it.
+    """
+    b1, b2 = buckets
+    span = b1.span
+    arrays = ((b1.slot, b1.members, b1.bag_pos, b1), (b2.slot, b2.members, b2.bag_pos, b2))
+    tops = [b1.max_slot, b2.max_slot]
+    cut = p.cut_count
     side = p.side
     sizes = p.block_size
     counts = p.counts
     cell_nets = h.cell_nets
     pins_of = h.nets
-
-    def move(c: int) -> int:
-        f = side[c]
+    getrandbits = rng.getrandbits
+    moved: list[int] = []
+    best_t = 0
+    v = _NONE
+    while True:
+        if pick_pair is None:
+            m1, m2 = tops
+            if m1 < 0 and m2 < 0:
+                break
+            s1, s2 = sizes
+            f = B1 if m2 < 0 or (m1 >= 0 and (s1 > s2 or s1 == s2 and m1 >= m2)) else B2
+            k = tops[f]
+            bag = arrays[f][1][k]
+            n = len(bag)
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            c = bag[r]
+        else:
+            if v == _NONE:
+                b1.max_slot, b2.max_slot = tops
+                p.cut_count = cut
+                if tops[B1] < 0 or tops[B2] < 0:
+                    break
+                c, v = pick_pair()
+            else:
+                c, v = v, _NONE
+            f = side[c]
+            k = arrays[f][0][c]
         t = 1 - f
         slot_f, bags_f, pos_f, bucket_f = arrays[f]
         slot_t, bags_t, pos_t, bucket_t = arrays[t]
-        k = slot_f[c]
-        if k < 0:
-            raise ValueError(f"cell {c} is locked")
-        top_f = bucket_f.max_slot
+        top_f = tops[f]
+        top_t = tops[t]
         bag = bags_f[k]
         last = bag.pop()
         if last != c:
             i = pos_f[c]
-            bag[i] = last
-            pos_f[last] = i
+            bag[i], pos_f[last] = last, i
         slot_f[c] = _NONE
         if not bag and k == top_f:
             top_f = bucket_f._top_from(k - 1)
-        top_t = bucket_t.max_slot
         count_f = counts[f]
         count_t = counts[t]
         nets = cell_nets[c]
@@ -412,8 +466,7 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                         last = bag.pop()
                         if last != x:
                             i = pos_f[x]
-                            bag[i] = last
-                            pos_f[last] = i
+                            bag[i], pos_f[last] = last, i
                         old += 1
                         bag = bags_f[old]
                         pos_f[x] = len(bag)
@@ -430,8 +483,7 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                             last = bag.pop()
                             if last != x:
                                 i = pos_t[x]
-                                bag[i] = last
-                                pos_t[last] = i
+                                bag[i], pos_t[last] = last, i
                             elif not bag and old == top_t:
                                 top_t = old - 1
                             old -= 1
@@ -443,8 +495,6 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
         side[c] = t
         sizes[f] -= 1
         sizes[t] += 1
-        gain = k - span
-        p.cut_count -= gain
         for e in nets:
             fc = count_f[e] - 1
             count_f[e] = fc
@@ -457,8 +507,7 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                         last = bag.pop()
                         if last != x:
                             i = pos_t[x]
-                            bag[i] = last
-                            pos_t[last] = i
+                            bag[i], pos_t[last] = last, i
                         elif not bag and old == top_t:
                             top_t = old - 1
                         old -= 1
@@ -475,8 +524,7 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                             last = bag.pop()
                             if last != x:
                                 i = pos_f[x]
-                                bag[i] = last
-                                pos_f[last] = i
+                                bag[i], pos_f[last] = last, i
                             old += 1
                             bag = bags_f[old]
                             pos_f[x] = len(bag)
@@ -485,35 +533,19 @@ def _bind_bags(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
                             if old > top_f:
                                 top_f = old
                         break
-        bucket_f.max_slot = top_f
-        bucket_t.max_slot = top_t
-        return gain
-
-    buckets.move = move
-
-
-def move_and_update(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
-    """Lock c, move it, adjust unlocked neighbor gains in place, and return
-    c's gain. The move works on the graph and partition `init` bound the
-    buckets to; h and p name them only so the per-move signature that step
-    hooks, tracers and test wrappers see stays that of an unbound move.
-
-    For each net of c, with F the departing block and T the receiving one:
-    before the pin transfer, a T-count of 0 raises every unlocked pin and a
-    T-count of 1 lowers the lone T-side pin; after the transfer, an F-count
-    of 0 lowers every unlocked pin and an F-count of 1 raises the lone
-    F-side pin. A T-count of 0 puts every pin on F, and an F-count of 0
-    after the transfer puts every pin on T, so each update knows its bucket,
-    and a pin is unlocked exactly when that bucket files it.
-
-    The transfer is done here, as `apply_move` would do it: side and sizes
-    flip between the two loops, each net's counts move as the second loop
-    reaches it, and the cut falls by c's gain, which is exact because c was
-    unlocked until this call. The work is done by the move `init` bound:
-    `move_by_operations` for lifo and fifo and `_bind_bags`'s inlined copy
-    of it for bags.
-    """
-    return buckets.move(c)
+        tops[f] = top_f
+        tops[t] = top_t
+        cut -= k - span
+        moved.append(c)
+        if cut < best_cut and -1 <= sizes[B1] - sizes[B2] <= 1:
+            best_t, best_cut = len(moved), cut
+        if on_step is not None and v == _NONE:
+            b1.max_slot, b2.max_slot = tops
+            p.cut_count = cut
+            on_step(buckets, p, moved)
+    b1.max_slot, b2.max_slot = tops
+    p.cut_count = cut
+    return moved, best_t, best_cut
 
 
 def select_max(buckets: Buckets, block: int, rng: Optional[random.Random] = None) -> Optional[int]:

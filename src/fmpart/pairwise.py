@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, run_passes
-from .gains import Buckets, init, move_and_update
+from .gains import Buckets, bag_steps, init, move_and_update
 from .hypergraph import B1, B2, Hypergraph, Partition
 
 
@@ -172,20 +172,30 @@ def variant_pass(
     Every step moves one cell each way, so all prefixes are balanced and
     eligible for rollback. cfg.tie_policy orders equal-gain cells in the
     pair search, and so decides between equally good pairs. h needs an even
-    cell count (see pad_dummy) and p two blocks of half of it each.
+    cell count (see pad_dummy) and p two blocks of half of it each. A step
+    is `best_pair`, then moving u and v (in `bag_steps` over bags).
     """
     m = h.cell_count // 2
     if p.block_size[B1] != m or p.block_size[B2] != m:
         raise ValueError("pairwise pass needs equal block sizes")
     buckets = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count
-    best_t, best_cut = 0, initial_cut
-    moved: list[int] = []
     evals = 0
-    for _ in range(m):
+
+    def pick_pair() -> tuple[int, int]:
+        nonlocal evals
         sel = selection_state(buckets)
         u, v, _ = best_pair(sel, h, p, rng)
         evals += sel.pair_gain_evals
+        return u, v
+
+    if buckets[B1].order is None:
+        moved, best_t, best_cut = bag_steps(buckets, h, p, rng, initial_cut, on_step, pick_pair)
+        return close_pass(h, p, initial_cut, moved, best_t, best_cut, evals)
+    best_t, best_cut = 0, initial_cut
+    moved: list[int] = []
+    for _ in range(m):
+        u, v = pick_pair()
         move_and_update(buckets, h, p, u)
         move_and_update(buckets, h, p, v)
         moved += (u, v)

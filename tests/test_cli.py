@@ -258,6 +258,31 @@ class TestCliMain:
         assert ran == []
         assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
 
+    @pytest.mark.parametrize("alias", ["same", "dotdot", "symlink", "hardlink"])
+    def test_csv_and_summary_naming_one_file_exit_two_before_any_task(
+        self, fixture_files, tmp_path, capsys, monkeypatch, alias
+    ):
+        star, _ = fixture_files
+        out = tmp_path / "out.csv"
+        (tmp_path / "sub").mkdir()
+        other = {"same": out, "dotdot": tmp_path / "sub" / ".." / "out.csv", "symlink": tmp_path / "link.csv"}
+        if alias == "symlink":
+            other["symlink"].symlink_to(out)  # out does not exist yet
+        if alias == "hardlink":
+            out.write_text("kept\n")
+            other["hardlink"] = tmp_path / "hard.csv"
+            os.link(out, other["hardlink"])
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ran.append(a))
+        argv = ["run", "--input", str(star), "--seeds", "1", "--csv", str(out), "--summary", str(other[alias])]
+        assert main(argv) == 2
+        assert ran == []
+        assert capsys.readouterr().err == f"error: --csv and --summary name the same file: {other[alias]}\n"
+        if alias == "hardlink":
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
     def test_run_unreadable_file_skipped_with_error(self, fixture_files, tmp_path, capsys):
         star, _ = fixture_files
         code = main([

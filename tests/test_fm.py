@@ -92,28 +92,36 @@ class TestFmPass:
         assert trace.best_prefix == 0
 
     def test_trace_consistency_on_random_instances(self, monkeypatch):
-        # each step's gain, as move_and_update returns it, and the cut after
-        # it, as the pass's partition holds it
-        gains = []
-        move_and_update = fmpart.fm.move_and_update
+        # each step's gain, as the buckets filed it for the moved cell just
+        # before the step, and the cut after it, as the pass's partition
+        # holds it
+        filed = {}
+        real_init = fmpart.fm.init
 
-        def recorded(*args):
-            g = move_and_update(*args)
-            gains.append(g)
-            return g
+        def init_recording_gains(h, p, tie_policy):
+            buckets = real_init(h, p, tie_policy)
+            record_filed_gains(buckets)
+            return buckets
 
-        monkeypatch.setattr(fmpart.fm, "move_and_update", recorded)
+        def record_filed_gains(buckets):
+            filed.clear()
+            for bucket in buckets:
+                filed.update((c, k - bucket.span) for c, k in enumerate(bucket.slot) if k >= 0)
+
+        monkeypatch.setattr(fmpart.fm, "init", init_recording_gains)
         rng = random.Random(21)
         for _ in range(60):
             n = rng.randint(1, 12)
             h = random_hypergraph(rng, n, rng.randint(0, 18), 1, 6)
             p = balanced_partition(h, rng)
             start = p.clone()
-            gains.clear()
+            gains = []
             cuts_after = []
 
             def on_step(buckets, q, moved):
+                gains.append(filed[moved[-1]])
                 cuts_after.append(q.cut_count)
+                record_filed_gains(buckets)
 
             trace = fm_pass(h, p, FmConfig(seed=1), rng, on_step=on_step)
             # every cell moved exactly once
@@ -154,22 +162,18 @@ class TestFmPass:
     def test_pass_relocations_linear_in_pins(self, monkeypatch):
         # criterion 09's instances and starts, with work counted, not timed:
         # the gain updates the FM rule asks of each move, counted from the
-        # state before it, come to about 0.73 per pin at every size and tie
-        # policy. The move does each in O(1); its only other work is the
-        # max-slot scans, counted as slots inspected: at most 0.055 per pin
-        # under random, 0.056 under lifo and 0.058 under fifo. A lifo or fifo
-        # move calls `relocate`, which scans from the slot below when a cell
-        # moving down drains the max slot; the inlined bag move steps down
-        # without a scan. A move that rescanned from the top on every call
-        # would inspect several per pin
-        move = fmpart.fm.move_and_update
+        # state before it by replaying the pass's moves from its start, come
+        # to about 0.73 per pin at every size and tie policy. The move does
+        # each in O(1); its only other work is the max-slot scans, counted as
+        # slots inspected: at most 0.055 per pin under random, 0.056 under
+        # lifo and 0.058 under fifo. A lifo or fifo move calls `relocate`,
+        # which scans from the slot below when a cell moving down drains the
+        # max slot; the bag move of `bag_steps` steps down without a scan,
+        # and calls `_top_from` through the bucket only when the moving cell
+        # drains the max slot. A move that rescanned from the top on every
+        # call would inspect several per pin
         top_from = GainBucket._top_from
-        updates = scanned = 0
-
-        def counted(buckets, h, p, c):
-            nonlocal updates
-            updates += required_gain_updates(buckets, h, p, c)
-            return move(buckets, h, p, c)
+        scanned = 0
 
         def counted_scan(bucket, slot):
             nonlocal scanned
@@ -177,17 +181,33 @@ class TestFmPass:
             scanned += slot - top + (top >= 0)
             return top
 
-        monkeypatch.setattr(fmpart.fm, "move_and_update", counted)
         monkeypatch.setattr(GainBucket, "_top_from", counted_scan)
         for n in (5000, 10000, 20000):
             h = random_hypergraph(random.Random(100 + n), n, n, 2, 6)
             for policy, rep in itertools.product(TIE_POLICIES, range(3)):
                 p = random_initial_partition(h, random.Random(rep))
-                updates = scanned = 0
-                fm_pass(h, p, FmConfig(seed=1, tie_policy=policy), random.Random(rep))
+                start = p.clone()
+                scanned = 0
+                trace = fm_pass(h, p, FmConfig(seed=1, tie_policy=policy), random.Random(rep))
+                updates = replayed_gain_updates(h, start, trace.steps)
                 where = f"{n} cells, {policy}"
                 assert 0 < updates <= h.pin_count, f"{where}: {updates / h.pin_count:.3f} updates per pin"
                 assert 0 < scanned <= h.pin_count // 4, f"{where}: {scanned / h.pin_count:.3f} slot scans per pin"
+
+
+def replayed_gain_updates(h, start, moved):
+    """`required_gain_updates` summed over the moves of moved, replayed in
+    order from start, with each block's unlocked cells standing for its
+    bucket: a cell is unlocked until it moves, and only moved cells change
+    block."""
+    q = start.clone()
+    unlocked = [{c for c in range(h.cell_count) if q.side[c] == b} for b in (B1, B2)]
+    total = 0
+    for c in moved:
+        total += required_gain_updates(unlocked, h, q, c)
+        unlocked[q.side[c]].discard(c)
+        apply_move(q, h, c)
+    return total
 
 
 def required_gain_updates(buckets, h, p, c):

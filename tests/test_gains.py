@@ -307,43 +307,42 @@ class TestGainBucket:
 
 
 class TestPartitionAfterEveryMove:
-    """`move_and_update` moves the pins itself; after each call p must equal
-    a partition rebuilt from its side vector."""
+    """A pass moves the pins itself; after each step p must equal a
+    partition rebuilt from its side vector, and the buckets must hold
+    exactly the cells not yet moved."""
 
     @staticmethod
-    def check_every_move(monkeypatch, module):
-        moved = []
-        original = module.move_and_update
+    def check_every_step(h, seen):
+        """An on_step hook for a pass over h; seen collects the moved cells
+        it has checked."""
 
-        def checked(state, h, p, c):
-            g = original(state, h, p, c)
+        def check(state, p, moved):
             assert p == Partition.from_sides(h, p.side)
-            moved.append(c)
-            assert c not in state[B1] and c not in state[B2]
+            for c in moved[len(seen) :]:
+                assert c not in state[B1] and c not in state[B2]
+                seen.append(c)
+            assert seen == moved
             assert filed_count(state) == h.cell_count - len(moved)
-            return g
 
-        monkeypatch.setattr(module, "move_and_update", checked)
-        return moved
+        return check
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
-    def test_fm_pass(self, monkeypatch, policy):
-        moved = self.check_every_move(monkeypatch, fmpart.fm)
+    def test_fm_pass(self, policy):
         rng = random.Random(18)
         for _ in range(30):
             n = rng.randint(1, 40)
             h = random_hypergraph(rng, n, rng.randint(0, 2 * n), 1, 6)
-            moved.clear()
-            fm_pass(h, balanced_partition(h, rng), FmConfig(seed=2, tie_policy=policy), rng)
+            moved = []
+            p = balanced_partition(h, rng)
+            fm_pass(h, p, FmConfig(seed=2, tie_policy=policy), rng, self.check_every_step(h, moved))
             assert sorted(moved) == list(range(n))
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
-    def test_swap_pass(self, monkeypatch, policy):
-        moved = self.check_every_move(monkeypatch, fmpart.pairwise)
+    def test_swap_pass(self, policy):
         rng = random.Random(19)
         for _ in range(30):
             h = pad_dummy(random_hypergraph(rng, rng.randint(1, 40), rng.randint(0, 80), 1, 6))
             p = random_initial_partition(h, rng)
-            moved.clear()
-            variant_pass(h, p, FmConfig(seed=2, tie_policy=policy), rng)
+            moved = []
+            variant_pass(h, p, FmConfig(seed=2, tie_policy=policy), rng, self.check_every_step(h, moved))
             assert sorted(moved) == list(range(h.cell_count))
