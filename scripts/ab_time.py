@@ -20,10 +20,14 @@ median, the ratio of the two sides' minimum times, how many pairs this
 checkout won (ratio below 1) and the ratios' quartiles, and exits 1 if the
 two checkouts ever give different rows (`elapsed_ms` aside).
 
-On a shared host the minimum ratio is the steadier figure, since load
-from elsewhere only adds time: over three rotations of 10-16 `fm_large`
-pairs each, timing one change, the minimum ratios spread 0.74-0.81 while
-the medians spread 0.77-0.94.
+On a shared host load from elsewhere only adds time, so the minimum ratio
+can be the steadier figure: over three rotations of 10-16 `fm_large` pairs
+each, timing a prototype of the fused bag step loop (`gains.bag_steps`),
+the minimum ratios spread 0.74-0.81 while the medians spread 0.77-0.94.
+It is not always so: five rotations of 10 pairs timing the loop as landed
+gave minimum ratios of 0.80-0.95 and medians of 0.83-0.90, and three
+rotations of 8 pairs of the parent against itself gave 0.96-1.08 and
+0.97-1.05. Neither figure resolves a change of a few percent there.
 """
 
 from __future__ import annotations

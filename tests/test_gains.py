@@ -2,8 +2,6 @@ import random
 
 import pytest
 
-import fmpart.fm
-import fmpart.pairwise
 from conftest import C1, C2, C3, C4, C5, balanced_partition, bucket_gains, filed_count
 from fmpart.fm import FmConfig, fm_pass, random_initial_partition
 from fmpart.gains import TIE_POLICIES, GainBucket, audit, compute_gain, init, move_and_update, select_max
