@@ -394,11 +394,12 @@ def bag_steps(
     then v of the pair pick_pair() returns.
 
     The move is the one copy of `move_by_operations` written inline, its
-    `remove` and `relocate` calls in the same order. The max slots and cut
-    live in locals, written back before pick_pair, on_step and return. A
-    gain moves one slot at a time, so a rise can only lift the max slot, a
-    fall that drains it leaves the slot below on top, and only a cell that
-    was last in its bag can drain it.
+    `remove` and `relocate` calls in the same order; each receiving count
+    rises once its first loop has read it. The max slots and cut live in
+    locals, written back before pick_pair, on_step and return. A gain moves
+    one slot at a time, so a rise can only lift the max slot, a fall that
+    drains it leaves the slot below on top, and only a cell that was last
+    in its bag can drain it.
     """
     b1, b2 = buckets
     span = b1.span
@@ -458,6 +459,7 @@ def bag_steps(
         nets = cell_nets[c]
         for e in nets:
             tc = count_t[e]
+            count_t[e] = tc + 1
             if tc == 0:
                 for x in pins_of[e]:
                     old = slot_f[x]
@@ -498,7 +500,6 @@ def bag_steps(
         for e in nets:
             fc = count_f[e] - 1
             count_f[e] = fc
-            count_t[e] += 1
             if fc == 0:
                 for x in pins_of[e]:
                     old = slot_t[x]
