@@ -24,10 +24,9 @@ On a shared host load from elsewhere only adds time, so the minimum ratio
 can be the steadier figure: over three rotations of 10-16 `fm_large` pairs
 each, timing a prototype of the fused bag step loop (`gains.bag_steps`),
 the minimum ratios spread 0.74-0.81 while the medians spread 0.77-0.94.
-It is not always so: five rotations of 10 pairs timing the loop as landed
-gave minimum ratios of 0.80-0.95 and medians of 0.83-0.90, and three
-rotations of 8 pairs of the parent against itself gave 0.96-1.08 and
-0.97-1.05. Neither figure resolves a change of a few percent there.
+With no change (the parent timed against itself, three rotations of 8
+pairs) the minimum ratios read 0.96-1.08 and the medians 0.97-1.05, so
+neither figure resolves a change of a few percent on such a host.
 """
 
 from __future__ import annotations
