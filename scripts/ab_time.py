@@ -22,7 +22,7 @@ two checkouts ever give different rows (`elapsed_ms` aside).
 
 On a shared host load from elsewhere only adds time, so the minimum ratio
 can be the steadier figure: over three rotations of 10-16 `fm_large` pairs
-each, timing a prototype of the fused bag step loop (`gains.bag_steps`),
+each, timing a prototype of the fused bag step loop (`gains.pass_steps`),
 the minimum ratios spread 0.74-0.81 while the medians spread 0.77-0.94.
 With no change (the parent timed against itself, three rotations of 8
 pairs) the minimum ratios read 0.96-1.08 and the medians 0.97-1.05, so

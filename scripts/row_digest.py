@@ -27,8 +27,7 @@ sys.path.insert(0, PERFBENCH)
 
 import gen  # noqa: E402
 import worker  # noqa: E402
-
-TIE_POLICIES = ("random", "fifo", "lifo")
+from fmpart.gains import TIE_POLICIES  # noqa: E402
 
 
 def workload_digest(workload: str, seed: int, tmp: str) -> tuple[int, str]:

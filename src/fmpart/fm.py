@@ -14,7 +14,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .gains import TIE_POLICIES, Buckets, StepHook, bag_steps, init, move_and_update, select_max
+from .gains import TIE_POLICIES, StepHook, init, pass_steps
+
+# unused here, but perfbench/tracing.py wraps these names in this module
+from .gains import move_and_update, select_max  # noqa: F401
 from .hypergraph import B1, B2, Hypergraph, Partition, apply_move
 
 
@@ -72,24 +75,6 @@ def random_initial_partition(h: Hypergraph, rng: random.Random) -> Partition:
     for c in ids[:b1]:
         side[c] = B1
     return Partition.from_sides(h, side)
-
-
-def _source_block(buckets: Buckets, p: Partition) -> Optional[int]:
-    """Pick the block to move from: the larger one; on equal sizes the one
-    with the higher max gain, B1 on a tie. A block with no unlocked cell
-    yields to the other, and with none left there is no block. `bag_steps`
-    applies the same rule inline.
-
-    Both buckets share one gain span, so their max slots compare as their
-    max gains do; an empty bucket's max slot is -1."""
-    m1 = buckets[B1].max_slot
-    m2 = buckets[B2].max_slot
-    if m1 < 0:
-        return None if m2 < 0 else B2
-    if m2 < 0:
-        return B1
-    s1, s2 = p.block_size
-    return B1 if (s1, m1) >= (s2, m2) else B2
 
 
 def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int) -> None:
@@ -168,8 +153,8 @@ def fm_pass(
     The best prefix is the earliest one of minimum cut among those with
     |S(B1) - S(B2)| <= 1; from an unbalanced start the first balanced prefix
     beats the start whatever its cut, and with none the pass keeps nothing.
-    On return p sits at that prefix's configuration. Over bags (random)
-    the steps are `bag_steps`; otherwise this loop's calls make them.
+    On return p sits at that prefix's configuration. The steps are
+    `gains.pass_steps`.
     """
     buckets = init(h, p, cfg.tie_policy)
     sizes = p.block_size
@@ -178,21 +163,7 @@ def fm_pass(
     # an unbalanced start scores above every reachable cut, so the first
     # balanced prefix beats it
     best_t, best_cut = 0, (initial_cut if balanced_start else h.net_count + 1)
-    if buckets[B1].order is None:
-        moved, best_t, best_cut = bag_steps(buckets, h, p, rng, best_cut, on_step)
-        return close_pass(h, p, initial_cut, moved, best_t, best_cut if best_t else initial_cut)
-    moved: list[int] = []
-    while True:
-        blk = _source_block(buckets, p)
-        if blk is None:
-            break
-        c = select_max(buckets, blk, rng)
-        move_and_update(buckets, h, p, c)
-        moved.append(c)
-        if p.cut_count < best_cut and -1 <= sizes[B1] - sizes[B2] <= 1:
-            best_t, best_cut = len(moved), p.cut_count
-        if on_step is not None:
-            on_step(buckets, p, moved)
+    moved, best_t, best_cut = pass_steps(buckets, h, p, rng, best_cut, on_step)
     return close_pass(h, p, initial_cut, moved, best_t, best_cut if best_t else initial_cut)
 
 

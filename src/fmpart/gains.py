@@ -4,11 +4,11 @@ Gains live in [-P, +P] where P is the maximum cell degree, so each block
 keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is the two buckets: a cell's slot in
 the bucket of its block is the only record of its gain, and a cell is
-locked exactly when no bucket holds it. `init` fills them. Passes over
-lifo and fifo buckets move cells with `move_by_operations`, one
-`GainBucket` operation per call; passes over bags (the default `random`
-tie policy) run `bag_steps`, one step loop with the same operations
-written inline over the bags' lists.
+locked exactly when no bucket holds it. `init` fills them, and
+`pass_steps` runs a pass's steps under every tie policy. Over lifo and
+fifo buckets it moves cells with `move_by_operations`, one `GainBucket`
+operation per call; over bags (the default `random` tie policy) it runs
+the same operations written inline over the bags' lists.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ class GainBucket:
     empty. `select` and `iter_descending` order ties by the policy the
     bucket was built for.
 
-    During a pass, lifo and fifo buckets are moved by `move_by_operations`,
-    which calls `remove` and `relocate`. Bags are moved by `bag_steps`, the
-    pass's step loop, which does the removal and every relocation inline,
-    in the order those calls would, and keeps the max slots in locals. It
-    writes `max_slot` back before it hands the buckets to a pair search or
-    a step hook, and when the pass ends, so the methods here see an exact
-    bucket whenever they are called.
+    During a pass, `pass_steps` moves lifo and fifo buckets by
+    `move_by_operations`, which calls `remove` and `relocate`. It moves
+    bags itself, doing the removal and every relocation inline, in the
+    order those calls would, and keeps the max slots in locals. It writes
+    `max_slot` back before it hands the buckets to a pair search or a step
+    hook, and when the pass ends, so the methods here see an exact bucket
+    whenever they are called.
     """
 
     __slots__ = ("span", "order", "slot", "max_slot", "members", "bag_pos")
@@ -261,8 +261,7 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
 def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
     """Compute all gains and file every cell in the bucket of its block,
     both built for tie_policy (see GainBucket), and return the pair, which
-    is the pass state. A pass moves lifo and fifo cells with
-    `move_by_operations` and runs `bag_steps` over bags.
+    is the pass state that `pass_steps` runs on.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
@@ -297,8 +296,8 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
 def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
     """Lock c, move it, adjust unlocked neighbor gains in place, and return
     c's gain: one `GainBucket.remove` for c, then one `GainBucket.relocate`
-    per neighbor update, in the order of the rule below. Passes over lifo
-    and fifo call it as `move_and_update`; `bag_steps` inlines it for bags.
+    per neighbor update, in the order of the rule below. `pass_steps` calls
+    it over lifo and fifo and inlines it for bags.
 
     For each net of c, with F the departing block and T the receiving one:
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
@@ -373,11 +372,11 @@ def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) ->
     return gain
 
 
-# the name the passes call the move by, so a tracer can wrap it in each module
+# the name fm and pairwise import the move by, where a tracer can wrap it
 move_and_update = move_by_operations
 
 
-def bag_steps(
+def pass_steps(
     buckets: Buckets,
     h: Hypergraph,
     p: Partition,
@@ -386,23 +385,33 @@ def bag_steps(
     on_step: Optional[StepHook] = None,
     pick_pair: Optional[Callable[[], tuple[int, int]]] = None,
 ) -> tuple[list[int], int, int]:
-    """Run a pass's steps over bags (random) until every cell is locked;
-    return the moved cells, the length of the earliest balanced prefix with
-    a cut below best_cut (0 if none) and its cut. A step is one FM move:
-    the rule of `fm._source_block` and a draw from that block's max slot,
-    `rng.randrange(n)` as `Random` computes it; or, with pick_pair, u and
-    then v of the pair pick_pair() returns.
+    """Run a pass's steps until every cell is locked; return the moved
+    cells, the length of the earliest balanced prefix with a cut below
+    best_cut (0 if none) and its cut. This is the one step loop of FM and
+    swap passes under every tie policy.
 
-    The move is the one copy of `move_by_operations` written inline, its
-    `remove` and `relocate` calls in the same order; each receiving count
-    rises once its first loop has read it. The max slots and cut live in
-    locals, written back before pick_pair, on_step and return. A gain moves
-    one slot at a time, so a rise can only lift the max slot, a fall that
-    drains it leaves the slot below on top, and only a cell that was last
-    in its bag can drain it.
+    A step is one FM move or, with pick_pair, u and then v of the pair
+    pick_pair() returns. An FM step moves a cell of the block to move from:
+    the larger one; on equal sizes the one with the higher max gain, B1 on
+    a tie. A block with no unlocked cell yields to the other. Both buckets
+    share one gain span, so their max slots compare as their max gains do.
+    The cell comes from that block's max slot, as `GainBucket.select` picks
+    it: over lifo and fifo the slot's newest or oldest, over bags (random)
+    the draw `rng.randrange(n)` as `Random` computes it.
+
+    The max slots and cut live in locals, written back before pick_pair,
+    on_step and return. Over lifo and fifo the move is
+    `move_by_operations`, after which the loop reads the max slots back and
+    lowers the cut by the gain it returns. Over bags the move is the one
+    copy of `move_by_operations` written inline, its `remove` and
+    `relocate` calls in the same order; each receiving count rises once its
+    first loop has read it. A gain moves one slot at a time, so a rise can
+    only lift the max slot, a fall that drains it leaves the slot below on
+    top, and only a cell that was last in its bag can drain it.
     """
     b1, b2 = buckets
     span = b1.span
+    order = b1.order
     arrays = ((b1.slot, b1.members, b1.bag_pos, b1), (b2.slot, b2.members, b2.bag_pos, b2))
     tops = [b1.max_slot, b2.max_slot]
     cut = p.cut_count
@@ -424,12 +433,15 @@ def bag_steps(
             f = B1 if m2 < 0 or (m1 >= 0 and (s1 > s2 or s1 == s2 and m1 >= m2)) else B2
             k = tops[f]
             bag = arrays[f][1][k]
-            n = len(bag)
-            bits = n.bit_length()
-            r = getrandbits(bits)
-            while r >= n:
+            if order is None:
+                n = len(bag)
+                bits = n.bit_length()
                 r = getrandbits(bits)
-            c = bag[r]
+                while r >= n:
+                    r = getrandbits(bits)
+                c = bag[r]
+            else:
+                c = next(order(bag))
         else:
             if v == _NONE:
                 b1.max_slot, b2.max_slot = tops
@@ -441,84 +453,31 @@ def bag_steps(
                 c, v = v, _NONE
             f = side[c]
             k = arrays[f][0][c]
-        t = 1 - f
-        slot_f, bags_f, pos_f, bucket_f = arrays[f]
-        slot_t, bags_t, pos_t, bucket_t = arrays[t]
-        top_f = tops[f]
-        top_t = tops[t]
-        bag = bags_f[k]
-        last = bag.pop()
-        if last != c:
-            i = pos_f[c]
-            bag[i], pos_f[last] = last, i
-        slot_f[c] = _NONE
-        if not bag and k == top_f:
-            top_f = bucket_f._top_from(k - 1)
-        count_f = counts[f]
-        count_t = counts[t]
-        nets = cell_nets[c]
-        for e in nets:
-            tc = count_t[e]
-            count_t[e] = tc + 1
-            if tc == 0:
-                for x in pins_of[e]:
-                    old = slot_f[x]
-                    if old >= 0:
-                        bag = bags_f[old]
-                        last = bag.pop()
-                        if last != x:
-                            i = pos_f[x]
-                            bag[i], pos_f[last] = last, i
-                        old += 1
-                        bag = bags_f[old]
-                        pos_f[x] = len(bag)
-                        bag.append(x)
-                        slot_f[x] = old
-                        if old > top_f:
-                            top_f = old
-            elif tc == 1:
-                for x in pins_of[e]:
-                    if side[x] == t:
-                        old = slot_t[x]
-                        if old >= 0:
-                            bag = bags_t[old]
-                            last = bag.pop()
-                            if last != x:
-                                i = pos_t[x]
-                                bag[i], pos_t[last] = last, i
-                            elif not bag and old == top_t:
-                                top_t = old - 1
-                            old -= 1
-                            bag = bags_t[old]
-                            pos_t[x] = len(bag)
-                            bag.append(x)
-                            slot_t[x] = old
-                        break
-        side[c] = t
-        sizes[f] -= 1
-        sizes[t] += 1
-        for e in nets:
-            fc = count_f[e] - 1
-            count_f[e] = fc
-            if fc == 0:
-                for x in pins_of[e]:
-                    old = slot_t[x]
-                    if old >= 0:
-                        bag = bags_t[old]
-                        last = bag.pop()
-                        if last != x:
-                            i = pos_t[x]
-                            bag[i], pos_t[last] = last, i
-                        elif not bag and old == top_t:
-                            top_t = old - 1
-                        old -= 1
-                        bag = bags_t[old]
-                        pos_t[x] = len(bag)
-                        bag.append(x)
-                        slot_t[x] = old
-            elif fc == 1:
-                for x in pins_of[e]:
-                    if side[x] == f:
+        if order is not None:
+            cut -= move_by_operations(buckets, h, p, c)
+            tops = [b1.max_slot, b2.max_slot]
+        else:
+            t = 1 - f
+            slot_f, bags_f, pos_f, bucket_f = arrays[f]
+            slot_t, bags_t, pos_t, bucket_t = arrays[t]
+            top_f = tops[f]
+            top_t = tops[t]
+            bag = bags_f[k]
+            last = bag.pop()
+            if last != c:
+                i = pos_f[c]
+                bag[i], pos_f[last] = last, i
+            slot_f[c] = _NONE
+            if not bag and k == top_f:
+                top_f = bucket_f._top_from(k - 1)
+            count_f = counts[f]
+            count_t = counts[t]
+            nets = cell_nets[c]
+            for e in nets:
+                tc = count_t[e]
+                count_t[e] = tc + 1
+                if tc == 0:
+                    for x in pins_of[e]:
                         old = slot_f[x]
                         if old >= 0:
                             bag = bags_f[old]
@@ -533,10 +492,67 @@ def bag_steps(
                             slot_f[x] = old
                             if old > top_f:
                                 top_f = old
-                        break
-        tops[f] = top_f
-        tops[t] = top_t
-        cut -= k - span
+                elif tc == 1:
+                    for x in pins_of[e]:
+                        if side[x] == t:
+                            old = slot_t[x]
+                            if old >= 0:
+                                bag = bags_t[old]
+                                last = bag.pop()
+                                if last != x:
+                                    i = pos_t[x]
+                                    bag[i], pos_t[last] = last, i
+                                elif not bag and old == top_t:
+                                    top_t = old - 1
+                                old -= 1
+                                bag = bags_t[old]
+                                pos_t[x] = len(bag)
+                                bag.append(x)
+                                slot_t[x] = old
+                            break
+            side[c] = t
+            sizes[f] -= 1
+            sizes[t] += 1
+            for e in nets:
+                fc = count_f[e] - 1
+                count_f[e] = fc
+                if fc == 0:
+                    for x in pins_of[e]:
+                        old = slot_t[x]
+                        if old >= 0:
+                            bag = bags_t[old]
+                            last = bag.pop()
+                            if last != x:
+                                i = pos_t[x]
+                                bag[i], pos_t[last] = last, i
+                            elif not bag and old == top_t:
+                                top_t = old - 1
+                            old -= 1
+                            bag = bags_t[old]
+                            pos_t[x] = len(bag)
+                            bag.append(x)
+                            slot_t[x] = old
+                elif fc == 1:
+                    for x in pins_of[e]:
+                        if side[x] == f:
+                            old = slot_f[x]
+                            if old >= 0:
+                                bag = bags_f[old]
+                                last = bag.pop()
+                                if last != x:
+                                    i = pos_f[x]
+                                    bag[i], pos_f[last] = last, i
+                                old += 1
+                                bag = bags_f[old]
+                                pos_f[x] = len(bag)
+                                bag.append(x)
+                                slot_f[x] = old
+                                if old > top_f:
+                                    top_f = old
+                            break
+            tops[f] = top_f
+            tops[t] = top_t
+            cut -= k - span
         moved.append(c)
         if cut < best_cut and -1 <= sizes[B1] - sizes[B2] <= 1:
             best_t, best_cut = len(moved), cut

@@ -15,7 +15,10 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, run_passes
-from .gains import Buckets, bag_steps, init, move_and_update
+from .gains import Buckets, init, pass_steps
+
+# unused here, but perfbench/tracing.py wraps this name in this module
+from .gains import move_and_update  # noqa: F401
 from .hypergraph import B1, B2, Hypergraph, Partition
 
 
@@ -172,8 +175,9 @@ def variant_pass(
     Every step moves one cell each way, so all prefixes are balanced and
     eligible for rollback. cfg.tie_policy orders equal-gain cells in the
     pair search, and so decides between equally good pairs. h needs an even
-    cell count (see pad_dummy) and p two blocks of half of it each. A step
-    is `best_pair`, then moving u and v (in `bag_steps` over bags).
+    cell count (see pad_dummy) and p two blocks of half of it each. The
+    steps are `gains.pass_steps`, each `best_pair`, then the moves of u and
+    v.
     """
     m = h.cell_count // 2
     if p.block_size[B1] != m or p.block_size[B2] != m:
@@ -189,20 +193,7 @@ def variant_pass(
         evals += sel.pair_gain_evals
         return u, v
 
-    if buckets[B1].order is None:
-        moved, best_t, best_cut = bag_steps(buckets, h, p, rng, initial_cut, on_step, pick_pair)
-        return close_pass(h, p, initial_cut, moved, best_t, best_cut, evals)
-    best_t, best_cut = 0, initial_cut
-    moved: list[int] = []
-    for _ in range(m):
-        u, v = pick_pair()
-        move_and_update(buckets, h, p, u)
-        move_and_update(buckets, h, p, v)
-        moved += (u, v)
-        if p.cut_count < best_cut:
-            best_t, best_cut = len(moved), p.cut_count
-        if on_step is not None:
-            on_step(buckets, p, moved)
+    moved, best_t, best_cut = pass_steps(buckets, h, p, rng, initial_cut, on_step, pick_pair)
     return close_pass(h, p, initial_cut, moved, best_t, best_cut, evals)
 
 

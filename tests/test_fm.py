@@ -168,7 +168,7 @@ class TestFmPass:
         # slots inspected: at most 0.055 per pin under random, 0.056 under
         # lifo and 0.058 under fifo. A lifo or fifo move calls `relocate`,
         # which scans from the slot below when a cell moving down drains the
-        # max slot; the bag move of `bag_steps` steps down without a scan,
+        # max slot; the bag move of `pass_steps` steps down without a scan,
         # and calls `_top_from` through the bucket only when the moving cell
         # drains the max slot. A move that rescanned from the top on every
         # call would inspect several per pin

@@ -9,7 +9,7 @@ import pytest
 import fmpart.fm
 import fmpart.pairwise
 from conftest import balanced_partition
-from fmpart.fm import FmConfig, _source_block, fm_pass, fm_run
+from fmpart.fm import FmConfig, fm_pass, fm_run
 from fmpart.gains import TIE_POLICIES, audit, init, move_by_operations, select_max
 from fmpart.hypergraph import B1, B2, Partition, build
 from fmpart.pairwise import best_pair, pad_dummy, selection_state, variant_pass, variant_run
@@ -49,10 +49,10 @@ def instances(rng, count, max_cells):
 class TestKernelMatchesReference:
     """After every FM move and every swap step of a pass, the pass state
     must be exactly what `move_by_operations` leaves on a mirror of it that
-    makes the same moves, with every filed gain exact. Under random the pass
-    runs `gains.bag_steps`, whose inlined move this checks; under lifo and
-    fifo the pass moves by `move_by_operations` itself, so there the audit
-    is what checks it."""
+    makes the same moves, with every filed gain exact. Every pass runs
+    `gains.pass_steps`: under random this checks its inlined move; under
+    lifo and fifo the loop moves by `move_by_operations` itself, so there
+    the audit and the max slots the hook sees are what check it."""
 
     @staticmethod
     def mirror_every_step(monkeypatch, module, cells_per_step):
@@ -106,24 +106,41 @@ class TestKernelMatchesReference:
             assert sorted(trace.steps) == list(range(h.cell_count))
 
 
-def reference_fm_steps(h, p, rng):
-    """Each step of an FM pass over bags as (cells, gain, cut after), made
-    one call at a time: `_source_block`, `GainBucket.select(rng)` and
-    `move_by_operations`."""
-    buckets = init(h, p, "random")
+def reference_source_block(buckets, p):
+    """The block an FM step moves from: the larger one; on equal sizes the
+    one with the higher max gain, B1 on a tie. A block with no unlocked
+    cell yields to the other, and with none left there is no block.
+
+    Both buckets share one gain span, so their max slots compare as their
+    max gains do; an empty bucket's max slot is -1."""
+    m1 = buckets[B1].max_slot
+    m2 = buckets[B2].max_slot
+    if m1 < 0:
+        return None if m2 < 0 else B2
+    if m2 < 0:
+        return B1
+    s1, s2 = p.block_size
+    return B1 if (s1, m1) >= (s2, m2) else B2
+
+
+def reference_fm_steps(h, p, rng, policy):
+    """Each step of an FM pass under policy as (cells, gain, cut after),
+    made one call at a time: `reference_source_block`,
+    `GainBucket.select(rng)` and `move_by_operations`."""
+    buckets = init(h, p, policy)
     steps = []
-    while (blk := _source_block(buckets, p)) is not None:
+    while (blk := reference_source_block(buckets, p)) is not None:
         c = buckets[blk].select(rng)
         gain = move_by_operations(buckets, h, p, c)
         steps.append(((c,), gain, p.cut_count))
     return steps
 
 
-def reference_swap_steps(h, p, rng):
-    """Each step of a swap pass over bags as (cells, gain, cut after), made
-    one call at a time: `best_pair`, then `move_by_operations` for u and for
-    v; and the pair gains evaluated."""
-    buckets = init(h, p, "random")
+def reference_swap_steps(h, p, rng, policy):
+    """Each step of a swap pass under policy as (cells, gain, cut after),
+    made one call at a time: `best_pair`, then `move_by_operations` for u
+    and for v; and the pair gains evaluated."""
+    buckets = init(h, p, policy)
     steps = []
     evals = 0
     for _ in range(h.cell_count // 2):
@@ -136,11 +153,11 @@ def reference_swap_steps(h, p, rng):
     return steps, evals
 
 
-def fused_steps(run_pass, h, p, rng, cells_per_step):
-    """Each step of run_pass under random as (cells, gain, cut after), read
+def fused_steps(run_pass, h, p, rng, cells_per_step, policy):
+    """Each step of run_pass under policy as (cells, gain, cut after), read
     by its step hook, and the pass's trace. The same pass without the hook
     must end in the same state."""
-    cfg = FmConfig(seed=1, tie_policy="random")
+    cfg = FmConfig(seed=1, tie_policy=policy)
     bare_p = p.clone()
     bare_rng = random.Random()
     bare_rng.setstate(rng.getstate())
@@ -168,10 +185,11 @@ def twin_rngs(seed):
 
 
 class TestFusedStepLoop:
-    """A random pass runs `gains.bag_steps`: one loop with the source-block
-    rule, the draw and the move written inline. It must make the steps of
-    a loop built from the per-call operations, with the same cell, gain and
-    cut at every step and the same rng state at the end."""
+    """Every pass runs `gains.pass_steps`: one loop with the source-block
+    rule and the pick written inline, and under random the move too. Under
+    every tie policy it must make the steps of a loop built from the
+    per-call operations, with the same cell, gain and cut at every step and
+    the same rng state at the end."""
 
     @staticmethod
     def graphs(rng):
@@ -180,26 +198,28 @@ class TestFusedStepLoop:
         for _ in range(4):
             yield random_hypergraph(rng, 300, 400, 2, 8)
 
-    def test_fm_pass_matches_select_and_move(self):
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_fm_pass_matches_select_and_move(self, policy):
         rng = random.Random(33)
         for h in self.graphs(rng):
             # a balanced start and a lopsided one
             for p in (balanced_partition(h, rng), Partition.from_sides(h, [rng.randrange(2) for _ in h.cell_nets])):
                 start = p.clone()
                 pass_rng, ref_rng = twin_rngs(rng.random())
-                steps, _ = fused_steps(fm_pass, h, p, pass_rng, 1)
-                assert steps == reference_fm_steps(h, start, ref_rng)
+                steps, _ = fused_steps(fm_pass, h, p, pass_rng, 1, policy)
+                assert steps == reference_fm_steps(h, start, ref_rng, policy)
                 assert pass_rng.getstate() == ref_rng.getstate()
 
-    def test_swap_pass_matches_best_pair_and_moves(self):
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_swap_pass_matches_best_pair_and_moves(self, policy):
         rng = random.Random(34)
         for h in self.graphs(rng):
             h = pad_dummy(h)
             p = balanced_partition(h, rng)
             start = p.clone()
             pass_rng, ref_rng = twin_rngs(rng.random())
-            steps, trace = fused_steps(variant_pass, h, p, pass_rng, 2)
-            ref_steps, evals = reference_swap_steps(h, start, ref_rng)
+            steps, trace = fused_steps(variant_pass, h, p, pass_rng, 2, policy)
+            ref_steps, evals = reference_swap_steps(h, start, ref_rng, policy)
             assert steps == ref_steps
             assert trace.pair_gain_evals == evals
             assert pass_rng.getstate() == ref_rng.getstate()
