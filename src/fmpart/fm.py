@@ -163,7 +163,7 @@ def fm_pass(
     # an unbalanced start scores above every reachable cut, so the first
     # balanced prefix beats it
     best_t, best_cut = 0, (initial_cut if balanced_start else h.net_count + 1)
-    moved, best_t, best_cut = pass_steps(buckets, h, p, rng, best_cut, on_step)
+    moved, best_t, best_cut, _ = pass_steps(buckets, h, p, rng, best_cut, on_step)
     return close_pass(h, p, initial_cut, moved, best_t, best_cut if best_t else initial_cut)
 
 

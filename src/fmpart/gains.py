@@ -5,10 +5,10 @@ keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is the two buckets: a cell's slot in
 the bucket of its block is the only record of its gain, and a cell is
 locked exactly when no bucket holds it. `init` fills them, and
-`pass_steps` runs a pass's steps under every tie policy. Over lifo and
-fifo buckets it moves cells with `move_by_operations`, one `GainBucket`
-operation per call; over bags (the default `random` tie policy) it runs
-the same operations written inline over the bags' lists.
+`pass_steps` runs a pass's steps under every tie policy, a swap step's
+top-pair search among them. Over lifo and fifo buckets it moves cells with
+`move_by_operations`, one `GainBucket` operation per call; over bags (the
+default `random` tie policy) it runs the same operations written inline.
 """
 
 from __future__ import annotations
@@ -239,6 +239,10 @@ Buckets = tuple[GainBucket, GainBucket]
 # the pass's log of moved cells so far (two cells per swap step).
 StepHook = Callable[[Buckets, Partition, list[int]], None]
 
+# A swap pass's pair search from the top pair (u, v) it is given, as
+# (u, v, gain, pair gains evaluated); see `pairwise.heap_scan`.
+PairScan = Callable[[Buckets, Hypergraph, Partition, random.Random, int, int], tuple[int, int, int, int]]
+
 
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     """Exact cut reduction if cell c alone moved to the other block.
@@ -383,23 +387,31 @@ def pass_steps(
     rng: random.Random,
     best_cut: int,
     on_step: Optional[StepHook] = None,
-    pick_pair: Optional[Callable[[], tuple[int, int]]] = None,
-) -> tuple[list[int], int, int]:
+    heap_scan: Optional[PairScan] = None,
+) -> tuple[list[int], int, int, int]:
     """Run a pass's steps until every cell is locked; return the moved
     cells, the length of the earliest balanced prefix with a cut below
-    best_cut (0 if none) and its cut. This is the one step loop of FM and
-    swap passes under every tie policy.
+    best_cut (0 if none), its cut and the pair gains evaluated. This is
+    the one step loop of FM and swap passes under every tie policy.
 
-    A step is one FM move or, with pick_pair, u and then v of the pair
-    pick_pair() returns. An FM step moves a cell of the block to move from:
-    the larger one; on equal sizes the one with the higher max gain, B1 on
-    a tie. A block with no unlocked cell yields to the other. Both buckets
-    share one gain span, so their max slots compare as their max gains do.
-    The cell comes from that block's max slot, as `GainBucket.select` picks
-    it: over lifo and fifo the slot's newest or oldest, over bags (random)
-    the draw `rng.randrange(n)` as `Random` computes it.
+    A step is one FM move or, given heap_scan, a swap of u and v. An FM
+    step moves a cell of the block to move from: the larger one; on equal
+    sizes the one with the higher max gain, B1 on a tie. A block with no
+    unlocked cell yields to the other. Both buckets share one gain span, so
+    their max slots compare as their max gains do. The cell comes from that
+    block's max slot, as `GainBucket.select` picks it: over lifo and fifo
+    the slot's newest or oldest, over bags (random) the draw
+    `rng.randrange(n)` as `Random` computes it.
 
-    The max slots and cut live in locals, written back before pick_pair,
+    A swap step draws u from B1's max slot, then v from B2's, the same way.
+    The pair is final when no net of both has a lone pin on either side,
+    as no other pair's bound gain is higher; then, over bags, the step
+    makes the draws the heap scan's first look-aheads would make: into B2's
+    next slot, then B1's, each when its top bag holds only the drawn cell.
+    Otherwise heap_scan(buckets, h, p, rng, u, v) searches on from the pair
+    and returns the best (u, v, gain, pair gains evaluated).
+
+    The max slots and cut live in locals, written back before heap_scan,
     on_step and return. Over lifo and fifo the move is
     `move_by_operations`, after which the loop reads the max slots back and
     lowers the cut by the gain it returns. Over bags the move is the one
@@ -418,14 +430,16 @@ def pass_steps(
     side = p.side
     sizes = p.block_size
     counts = p.counts
+    count1, count2 = counts
     cell_nets = h.cell_nets
     pins_of = h.nets
     getrandbits = rng.getrandbits
     moved: list[int] = []
     best_t = 0
+    evals = 0
     v = _NONE
     while True:
-        if pick_pair is None:
+        if heap_scan is None:
             m1, m2 = tops
             if m1 < 0 and m2 < 0:
                 break
@@ -444,11 +458,46 @@ def pass_steps(
                 c = next(order(bag))
         else:
             if v == _NONE:
-                b1.max_slot, b2.max_slot = tops
-                p.cut_count = cut
-                if tops[B1] < 0 or tops[B2] < 0:
+                top_u, top_v = tops
+                if top_u < 0 or top_v < 0:
                     break
-                c, v = pick_pair()
+                bag_u = b1.members[top_u]
+                bag_v = b2.members[top_v]
+                if order is None:
+                    n = len(bag_u)
+                    bits = n.bit_length()
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    c = bag_u[r]
+                    n = len(bag_v)
+                    bits = n.bit_length()
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    v = bag_v[r]
+                else:
+                    c = next(order(bag_u))
+                    v = next(order(bag_v))
+                nets_v = cell_nets[v]
+                for e in cell_nets[c]:
+                    if e in nets_v and (count1[e] == 1 or count2[e] == 1):
+                        b1.max_slot, b2.max_slot = tops
+                        p.cut_count = cut
+                        c, v, _, n = heap_scan(buckets, h, p, rng, c, v)
+                        evals += n
+                        break
+                else:
+                    evals += 1
+                    if order is None:
+                        if len(bag_v) == 1 and (k := b2._top_from(top_v - 1)) >= 0:
+                            n = len(b2.members[k])
+                            while getrandbits(n.bit_length()) >= n:
+                                pass
+                        if len(bag_u) == 1 and (k := b1._top_from(top_u - 1)) >= 0:
+                            n = len(b1.members[k])
+                            while getrandbits(n.bit_length()) >= n:
+                                pass
             else:
                 c, v = v, _NONE
             f = side[c]
@@ -562,7 +611,7 @@ def pass_steps(
             on_step(buckets, p, moved)
     b1.max_slot, b2.max_slot = tops
     p.cut_count = cut
-    return moved, best_t, best_cut
+    return moved, best_t, best_cut, evals
 
 
 def select_max(buckets: Buckets, block: int, rng: Optional[random.Random] = None) -> Optional[int]:

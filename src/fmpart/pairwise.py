@@ -85,7 +85,28 @@ def best_pair(
     p: Partition,
     rng: random.Random,
 ) -> tuple[int, int, int]:
-    """Cross-block pair with the highest exact swap gain, as (u, v, gain).
+    """Cross-block pair with the highest exact swap gain, as (u, v, gain):
+    `heap_scan` from the two top cells, drawn by `GainBucket.select` from
+    B1, then B2. `gains.pass_steps` makes the same search, with the scan's
+    direct return written inline."""
+    b1, b2 = state.buckets
+    if b1.max_slot < 0 or b2.max_slot < 0:
+        raise ValueError("a block has no unlocked cells")
+    u, v, gain, evals = heap_scan(state.buckets, h, p, rng, b1.select(rng), b2.select(rng))
+    state.pair_gain_evals += evals
+    return u, v, gain
+
+
+def heap_scan(
+    buckets: Buckets,
+    h: Hypergraph,
+    p: Partition,
+    rng: random.Random,
+    u: int,
+    v: int,
+) -> tuple[int, int, int, int]:
+    """The best pair search from B1's and B2's top cells u and v, as drawn
+    by `GainBucket.select`; returns (u, v, gain, pair gains evaluated).
 
     The search is Kernighan & Lin's sorted-list scan over each block's cells
     in nonincreasing gain order, ties in the order of the buckets' tie
@@ -95,45 +116,20 @@ def best_pair(
     from (i, j - 1), or from (i - 1, 0) when j is 0, so bounds come off in
     nonincreasing order. The scan stops once the next bound is no higher
     than the best exact gain seen, and returns the first exact maximizer.
-
-    The first pair is always the two top cells. So a step draws them with
-    `GainBucket.select`, takes their exact gain and returns at once when
-    their correction term is zero, as no other bound is higher. Only
-    otherwise does it fall back to the heap, resuming each order past its
-    top cell.
+    The first pair is always the two top cells, so each order resumes past
+    its top cell, and a zero correction term for it ends the scan at once.
 
     Only the random policy draws from rng: one draw on entering each slot
-    of each order, in the order the scan enters them. That is B1's top
-    slot, B2's, then the look-ahead into B2's second cell and into B1's,
-    each of which enters a lower slot when its top bag holds one cell; the
-    direct return makes these two draws too.
+    of each order below the top one, in the order the scan enters them.
+    The first are the look-aheads into B2's second cell and into B1's, each
+    of which enters a lower slot when its top bag holds one cell.
     """
-    b1, b2 = state.buckets
-    top_u = b1.max_slot
-    top_v = b2.max_slot
-    if top_u < 0 or top_v < 0:
-        raise ValueError("a block has no unlocked cells")
-    u = b1.select(rng)
-    v = b2.select(rng)
-    correction = correct_term(h, p, u, v)
+    b1, b2 = buckets
     span = b1.span
-    gu = top_u - span
-    gv = top_v - span
-    best = (u, v, gu + gv - correction)
-    state.pair_gain_evals += 1
-    if not correction:
-        # the pair is final, but the rng must advance as the heap scan's
-        # look-aheads would advance it: B2's, then B1's
-        if b1.order is None:
-            if len(b2.members[top_v]) == 1:
-                top_v = b2._top_from(top_v - 1)
-                if top_v >= 0:
-                    rng.randrange(len(b2.members[top_v]))
-            if len(b1.members[top_u]) == 1:
-                top_u = b1._top_from(top_u - 1)
-                if top_u >= 0:
-                    rng.randrange(len(b1.members[top_u]))
-        return best
+    gu = b1.slot[u] - span
+    gv = b2.slot[v] - span
+    best = (u, v, gu + gv - correct_term(h, p, u, v))
+    evals = 1
     order_u = b1.iter_descending(rng, u)
     order_v = b2.iter_descending(rng, v)
     us = [(u, gu)]
@@ -152,12 +148,12 @@ def best_pair(
             if i + 1 < len(us):
                 heapq.heappush(heap, (-(us[i + 1][1] + gv), i + 1, 0))
         if not heap or -heap[0][0] <= best[2]:
-            return best
+            return (*best, evals)
         negb, i, j = heapq.heappop(heap)
         u, gu = us[i]
         v, gv = vs[j]
         g = -negb - correct_term(h, p, u, v)
-        state.pair_gain_evals += 1
+        evals += 1
         if g > best[2]:
             best = (u, v, g)
 
@@ -176,24 +172,15 @@ def variant_pass(
     eligible for rollback. cfg.tie_policy orders equal-gain cells in the
     pair search, and so decides between equally good pairs. h needs an even
     cell count (see pad_dummy) and p two blocks of half of it each. The
-    steps are `gains.pass_steps`, each `best_pair`, then the moves of u and
-    v.
+    steps are `gains.pass_steps`: each draws the top pair and moves it,
+    calling `heap_scan` only when the pair's correction term is nonzero.
     """
     m = h.cell_count // 2
     if p.block_size[B1] != m or p.block_size[B2] != m:
         raise ValueError("pairwise pass needs equal block sizes")
     buckets = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count
-    evals = 0
-
-    def pick_pair() -> tuple[int, int]:
-        nonlocal evals
-        sel = selection_state(buckets)
-        u, v, _ = best_pair(sel, h, p, rng)
-        evals += sel.pair_gain_evals
-        return u, v
-
-    moved, best_t, best_cut = pass_steps(buckets, h, p, rng, initial_cut, on_step, pick_pair)
+    moved, best_t, best_cut, evals = pass_steps(buckets, h, p, rng, initial_cut, on_step, heap_scan)
     return close_pass(h, p, initial_cut, moved, best_t, best_cut, evals)
 
 

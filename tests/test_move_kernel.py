@@ -3,6 +3,7 @@
 instances every few steps."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from conftest import balanced_partition
 from fmpart.fm import FmConfig, fm_pass, fm_run
 from fmpart.gains import TIE_POLICIES, audit, init, move_by_operations, select_max
 from fmpart.hypergraph import B1, B2, Partition, build
-from fmpart.pairwise import best_pair, pad_dummy, selection_state, variant_pass, variant_run
+from fmpart.pairwise import best_pair, correct_term, pad_dummy, selection_state, variant_pass, variant_run
 from fmpart.synth import random_hypergraph
 
 
@@ -136,14 +137,25 @@ def reference_fm_steps(h, p, rng, policy):
     return steps
 
 
-def reference_swap_steps(h, p, rng, policy):
+def reference_swap_steps(h, p, rng, policy, seen):
     """Each step of a swap pass under policy as (cells, gain, cut after),
     made one call at a time: `best_pair`, then `move_by_operations` for u
-    and for v; and the pair gains evaluated."""
+    and for v; and the pair gains evaluated. Counts in seen the steps whose
+    top pair has a nonzero correction term, so that the pass falls back to
+    `heap_scan`, and of the others those whose look-ahead enters a lower
+    slot of B2, of B1 or of both."""
     buckets = init(h, p, policy)
     steps = []
     evals = 0
     for _ in range(h.cell_count // 2):
+        peek = random.Random()
+        peek.setstate(rng.getstate())
+        u, v = (reference_select(bucket, peek) for bucket in buckets)
+        if correct_term(h, p, u, v):
+            seen["fallback"] += 1
+        elif policy == "random":
+            lower = [len(b.members[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0 for b in buckets]
+            seen[("neither", "B1", "B2", "both")[lower[0] + 2 * lower[1]]] += 1
         sel = selection_state(buckets)
         u, v, pair = best_pair(sel, h, p, rng)
         evals += sel.pair_gain_evals
@@ -212,17 +224,24 @@ class TestFusedStepLoop:
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_swap_pass_matches_best_pair_and_moves(self, policy):
+        # steps that leave the loop for heap_scan, and under random the
+        # inline look-ahead draws into a lower slot, each of B2 and B1
+        # alone and of both in one step (B2's, then B1's), all occur
         rng = random.Random(34)
+        seen = Counter()
         for h in self.graphs(rng):
             h = pad_dummy(h)
             p = balanced_partition(h, rng)
             start = p.clone()
             pass_rng, ref_rng = twin_rngs(rng.random())
             steps, trace = fused_steps(variant_pass, h, p, pass_rng, 2, policy)
-            ref_steps, evals = reference_swap_steps(h, start, ref_rng, policy)
+            ref_steps, evals = reference_swap_steps(h, start, ref_rng, policy, seen)
             assert steps == ref_steps
             assert trace.pair_gain_evals == evals
             assert pass_rng.getstate() == ref_rng.getstate()
+        assert seen["fallback"] > 0
+        if policy == "random":
+            assert seen["B1"] > 0 and seen["B2"] > 0 and seen["both"] > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_draw_is_randrange_for_every_bag_size(self, seed):

@@ -6,7 +6,7 @@ import pytest
 import fmpart.pairwise
 from conftest import C1, C2, C4, C5, balanced_partition, bucket_gains
 from fmpart.fm import FmConfig
-from fmpart.gains import TIE_POLICIES, compute_gain, init
+from fmpart.gains import TIE_POLICIES, compute_gain, init, move_by_operations
 from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 from fmpart.oracle import delta_cut_swap, exact_min_cut_balanced
 from fmpart.pairwise import (
@@ -265,9 +265,13 @@ class TestBestPair:
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_matches_the_heap_scan_at_every_step(self, monkeypatch, policy):
-        # the direct top-pair path and its heap fallback against the heap
-        # scan alone: same pair and gain, same evaluations, same draws
+        # every swap step of a pass, the inline top pair or the heap_scan
+        # fallback, against a mirror that searches by the heap scan alone
+        # and moves by move_by_operations: same pair and gain, same draws
+        # (the rng states agree at the pass's start and after every step),
+        # and the same evaluations per pass
         seen = {"shared two-pin cut net": 0, "fallback": 0, "look-ahead enters a lower slot": 0}
+        real_pass = fmpart.pairwise.variant_pass
 
         def top_pair(buckets, rng):
             pair = []
@@ -281,29 +285,41 @@ class TestBestPair:
                     pair.append(cells[rng.randrange(len(cells))])
             return pair
 
-        def checked(state, h, p, rng):
-            b1, b2 = state.buckets
+        def mirrored_pass(h, p, cfg, rng, on_step=None):
+            ref_p = p.clone()
+            ref_buckets = init(h, ref_p, cfg.tie_policy)
             ref_rng = copy_rng(rng)
-            u, v = top_pair(state.buckets, copy_rng(rng))
-            # a two-pin net on u and v is cut, as they lie on opposite blocks
-            if any(len(h.nets[n]) == 2 for n in h.cell_nets[u] if n in h.cell_nets[v]):
-                seen["shared two-pin cut net"] += 1
-            if any(
-                b.order is None and len(b.members[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0
-                for b in (b1, b2)
-            ):
-                seen["look-ahead enters a lower slot"] += 1
-            ref = selection_state(state.buckets)
-            want = heap_best_pair(ref, h, p, ref_rng)
-            got = best_pair(state, h, p, rng)
-            assert got == want
-            assert state.pair_gain_evals == ref.pair_gain_evals
-            assert rng.getstate() == ref_rng.getstate()
-            if ref.pair_gain_evals > 1:
-                seen["fallback"] += 1
-            return got
+            evals = 0
 
-        monkeypatch.setattr(fmpart.pairwise, "best_pair", checked)
+            def check(buckets, q, moved):
+                nonlocal evals
+                u, v = top_pair(ref_buckets, copy_rng(ref_rng))
+                # a two-pin net on u and v is cut, as they lie on opposite blocks
+                if any(len(h.nets[n]) == 2 for n in h.cell_nets[u] if n in h.cell_nets[v]):
+                    seen["shared two-pin cut net"] += 1
+                if any(
+                    b.order is None and len(b.members[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0
+                    for b in ref_buckets
+                ):
+                    seen["look-ahead enters a lower slot"] += 1
+                ref = selection_state(ref_buckets)
+                u, v, gain = heap_best_pair(ref, h, ref_p, ref_rng)
+                evals += ref.pair_gain_evals
+                if ref.pair_gain_evals > 1:
+                    seen["fallback"] += 1
+                cut_before = ref_p.cut_count
+                move_by_operations(ref_buckets, h, ref_p, u)
+                move_by_operations(ref_buckets, h, ref_p, v)
+                assert moved[-2:] == [u, v]
+                assert cut_before - q.cut_count == gain
+                assert q == ref_p
+                assert rng.getstate() == ref_rng.getstate()
+
+            trace = real_pass(h, p, cfg, rng, check)
+            assert trace.pair_gain_evals == evals
+            return trace
+
+        monkeypatch.setattr(fmpart.pairwise, "variant_pass", mirrored_pass)
         rng = random.Random(40)
         for _ in range(12):
             n = rng.choice([40, 61, 100])
@@ -377,16 +393,9 @@ class TestVariantPass:
             assert len(trace.steps) == 2 * (ph.cell_count // 2)
             assert sorted(trace.steps) == list(range(ph.cell_count))
 
-    def test_step_gains_are_exact_and_rollback_replays(self, monkeypatch):
-        # each step's gain, as best_pair returns it, and the cut after it
-        gains = []
-
-        def recorded(*args):
-            u, v, g = best_pair(*args)
-            gains.append(g)
-            return u, v, g
-
-        monkeypatch.setattr(fmpart.pairwise, "best_pair", recorded)
+    def test_step_gains_are_exact_and_rollback_replays(self):
+        # each step's gain, read from the cut before and after it, is the
+        # exact swap gain of its pair and what a replay of its moves gives
         rng = random.Random(36)
         for _ in range(60):
             n = rng.choice([2, 4, 6, 8, 10, 12])
@@ -395,7 +404,6 @@ class TestVariantPass:
             p = exact_balanced_partition(ph, rng)
             start = p.clone()
             before = p.cut_count
-            gains.clear()
             cuts_after = []
 
             def on_step(buckets, q, moved):
@@ -403,19 +411,19 @@ class TestVariantPass:
 
             trace = variant_pass(ph, p, FmConfig(seed=2), rng, on_step=on_step)
             assert p.cut_count <= before
-            assert len(trace.steps) == 2 * len(gains) == 2 * len(cuts_after)
+            assert len(trace.steps) == 2 * len(cuts_after)
             q = start.clone()
-            for t, (gain, cut_after) in enumerate(zip(gains, cuts_after)):
+            for t, cut_after in enumerate(cuts_after):
                 cut_before = q.cut_count
-                for c in trace.steps[2 * t : 2 * t + 2]:
-                    apply_move(q, ph, c)
+                u, v = trace.steps[2 * t : 2 * t + 2]
+                assert cut_before - cut_after == delta_cut_swap(ph, q, u, v)
+                apply_move(q, ph, u)
+                apply_move(q, ph, v)
                 assert q.cut_count == cut_after
-                assert gain == cut_before - cut_after
             replay = start.clone()
             for c in trace.steps[: trace.best_prefix]:
                 apply_move(replay, ph, c)
             assert replay == p
-
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     @pytest.mark.parametrize("cells", [401, 800])
