@@ -20,9 +20,10 @@ different rows. Only Python bytecode counts, so work in C (list methods,
 `random.getrandbits`) counts as the one opcode that calls it.
 
 `sys.settrace` traces only this thread of this process; the count repeats
-exactly from run to run. It slows the run by about 30-50 times: a whole
-`fm_large` workload (8 seeds of an ibm01-sized netlist) takes minutes, so
---runs N counts only the first N (file, seed) runs.
+exactly from run to run. It slows a run about 35 times: on a 2-core VM
+with Python 3.11, a whole `fm_large` workload (8 runs on the ibm01-sized
+netlist) takes about 50 s per checkout, and --runs N counts only the
+first N (file, seed) runs.
 """
 
 from __future__ import annotations
