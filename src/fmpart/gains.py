@@ -2,13 +2,14 @@
 
 Gains live in [-P, +P] where P is the maximum cell degree, so each block
 keeps an array of cell slots indexed by gain plus a pointer to the highest
-occupied index. A pass's whole state is the two buckets: a cell's slot in
-the bucket of its block is the only record of its gain, and a cell is
-locked exactly when no bucket holds it. `init` fills them, and
-`pass_steps` runs a pass's steps under every tie policy, a swap step's
-top-pair search among them. Over lifo and fifo buckets it moves cells with
-`move_by_operations`, one `GainBucket` operation per call; over bags (the
-default `random` tie policy) it runs the same operations written inline.
+occupied index. A pass's whole state is one `GainBucket` holding both
+blocks: a cell's slot is the only record of its gain, the live side list
+says which block files it, and a cell is locked exactly when no slot holds
+it. `init` fills it, and `pass_steps` runs a pass's steps under every tie
+policy, a swap step's top-pair search among them. Over lifo and fifo it
+moves cells with `move_by_operations`, one `GainBucket` operation per call;
+over bags (the default `random` tie policy) it runs the same operations
+written inline.
 """
 
 from __future__ import annotations
@@ -25,10 +26,15 @@ _NONE = -1
 
 
 class GainBucket:
-    """Cells of one block filed by gain, with a max pointer.
+    """The unlocked cells of both blocks filed by gain, with a max pointer
+    per block.
 
-    Each slot of ``members`` holds its cells in a container chosen by the
-    tie policy when the bucket is built:
+    ``members[b]`` is block b's list of slots, ``top[b]`` its highest
+    nonempty slot (-1 exactly when the block has no unlocked cell), and
+    ``slot[c]`` the slot of cell c, -1 when c is locked. ``side`` is the
+    partition's live side list: a filed cell keeps its side until it is
+    locked, so ``side[c]`` names the block that files c. Each slot holds its
+    cells in a container chosen by the tie policy when the bucket is built:
 
     - ``lifo`` and ``fifo``: an ``OrderedDict`` in entry order, oldest
       first, as a cell enters at the end; ``order`` is ``reversed`` for
@@ -37,128 +43,120 @@ class GainBucket:
       that cells keep leaving costs more than its size, and fifo passes
       grow faster than their pin count.
     - ``random`` (``order`` is None): an unordered list (a bag) with
-      swap-removal and a per-cell position, read only while the cell is
-      filed, so a uniform pick costs O(1) instead of a walk; passes would
-      otherwise go quadratic.
+      swap-removal and a per-cell position ``pos``, read only while the
+      cell is filed, so a uniform pick costs O(1) instead of a walk; passes
+      would otherwise go quadratic.
 
-    Insert, remove and relocate are O(1); the max pointer falls back by
-    linear scan when its slot drains, and is -1 exactly when the bucket is
-    empty. `select` and `iter_descending` order ties by the policy the
-    bucket was built for.
+    Insert, remove and relocate are O(1); a max pointer falls back by
+    linear scan when its slot drains. `select` and `iter_descending` order
+    ties by the policy the bucket was built for.
 
     During a pass, `pass_steps` moves lifo and fifo buckets by
     `move_by_operations`, which calls `remove` and `relocate`. It moves
     bags itself, doing the removal and every relocation inline, in the
-    order those calls would, and keeps the max slots in locals. It writes
-    `max_slot` back before it hands the buckets to a pair search or a step
-    hook, and when the pass ends, so the methods here see an exact bucket
-    whenever they are called.
+    order those calls would, and updates ``top`` in place, so the methods
+    here see an exact bucket whenever they are called.
     """
 
-    __slots__ = ("span", "order", "slot", "max_slot", "members", "bag_pos")
+    __slots__ = ("side", "span", "order", "slot", "pos", "members", "top")
 
-    def __init__(self, cell_count: int, span: int, policy: str):
+    def __init__(self, side: list[int], span: int, policy: str):
         if policy not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {policy!r}")
+        self.side = side
         self.span = span
         self.order = {"lifo": reversed, "fifo": iter}.get(policy)
         width = 2 * span + 1
-        self.slot = [_NONE] * cell_count
-        self.max_slot = _NONE
+        self.slot = [_NONE] * len(side)
+        self.top = [_NONE, _NONE]
         if self.order is None:
-            self.members = [[] for _ in range(width)]
-            self.bag_pos = [_NONE] * cell_count
+            self.members = tuple([[] for _ in range(width)] for _ in (B1, B2))
+            self.pos = [_NONE] * len(side)
         else:
-            self.members = [OrderedDict() for _ in range(width)]
-            self.bag_pos = None
+            self.members = tuple([OrderedDict() for _ in range(width)] for _ in (B1, B2))
+            self.pos = None
 
-    def __contains__(self, cell: int) -> bool:
-        return self.slot[cell] != _NONE
-
-    def _top_from(self, slot: int) -> int:
-        """The highest nonempty slot at or below slot, or -1."""
-        members = self.members
+    def _top_from(self, block: int, slot: int) -> int:
+        """The highest nonempty slot of block at or below slot, or -1."""
+        members = self.members[block]
         while slot >= 0 and not members[slot]:
             slot -= 1
         return slot
 
     def fill(self, cells: Sequence[int], gains: Iterable[int]) -> None:
         """Insert cells[i] at gains[i] for each i in turn, at the end of its
-        slot."""
+        slot in the block of its side."""
         span = self.span
+        side = self.side
         slot = self.slot
-        top = self.max_slot
-        if self.order is not None:
-            members = self.members
-            for c, g in zip(cells, gains):
-                k = g + span
-                members[k][c] = None
-                slot[c] = k
-                if k > top:
-                    top = k
-        else:
-            bags = self.members
-            bag_pos = self.bag_pos
-            for c, g in zip(cells, gains):
-                k = g + span
-                bag = bags[k]
-                bag_pos[c] = len(bag)
-                bag.append(c)
-                slot[c] = k
-                if k > top:
-                    top = k
-        self.max_slot = top
+        members = self.members
+        top = self.top
+        pos = self.pos
+        for c, g in zip(cells, gains):
+            k = g + span
+            b = side[c]
+            cells_k = members[b][k]
+            if pos is None:
+                cells_k[c] = None
+            else:
+                pos[c] = len(cells_k)
+                cells_k.append(c)
+            slot[c] = k
+            if k > top[b]:
+                top[b] = k
 
-    def _unlink(self, cell: int) -> tuple[int, bool]:
-        """Take a bucketed cell out of its slot, leaving its slot record;
-        return that slot and whether it drained."""
+    def _unlink(self, cell: int) -> tuple[int, int, bool]:
+        """Take a filed cell out of its slot, leaving its slot record; return
+        its block, that slot and whether it drained."""
         old = self.slot[cell]
         if old == _NONE:
             raise ValueError(f"cell {cell} not in bucket")
-        cells = self.members[old]
+        b = self.side[cell]
+        cells = self.members[b][old]
         if self.order is not None:
             del cells[cell]
         else:
             last = cells.pop()
             if last != cell:
-                pos = self.bag_pos[cell]
-                cells[pos] = last
-                self.bag_pos[last] = pos
-        return old, not cells
+                pos = self.pos
+                i = pos[cell]
+                cells[i] = last
+                pos[last] = i
+        return b, old, not cells
 
     def remove(self, cell: int) -> None:
-        old, drained = self._unlink(cell)
+        b, old, drained = self._unlink(cell)
         self.slot[cell] = _NONE
-        if drained and old == self.max_slot:
-            self.max_slot = self._top_from(old - 1)
+        if drained and old == self.top[b]:
+            self.top[b] = self._top_from(b, old - 1)
 
     def relocate(self, cell: int, gain: int) -> None:
-        """Move a bucketed cell to the slot of gain, as remove then insert
+        """Move a filed cell to the slot of gain, as remove then insert
         would: the cell enters the new slot at its end."""
-        old, drained = self._unlink(cell)
+        b, old, drained = self._unlink(cell)
         new = gain + self.span
-        cells = self.members[new]
+        cells = self.members[b][new]
         if self.order is not None:
             cells[cell] = None
         else:
-            self.bag_pos[cell] = len(cells)
+            self.pos[cell] = len(cells)
             cells.append(cell)
         self.slot[cell] = new
-        top = self.max_slot
-        if new > top:
-            self.max_slot = new
-        elif drained and new < old == top:
+        top = self.top
+        if new > top[b]:
+            top[b] = new
+        elif drained and new < old == top[b]:
             # the cell moved down out of the max slot; the scan stops at new
-            self.max_slot = self._top_from(old - 1)
+            top[b] = self._top_from(b, old - 1)
 
-    def select(self, rng: Optional[random.Random] = None) -> Optional[int]:
-        """A cell of the max slot, or None if the bucket is empty: lifo picks
-        the slot's newest cell, fifo its oldest, and random a uniform member
-        of its bag, drawn from rng."""
-        top = self.max_slot
+    def select(self, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
+        """A cell of block's max slot, or None if the block has no unlocked
+        cell: lifo picks the slot's newest cell, fifo its oldest, and random
+        a uniform member of its bag, drawn from rng."""
+        top = self.top[block]
         if top < 0:
             return None
-        cells = self.members[top]
+        cells = self.members[block][top]
         if self.order is not None:
             return next(self.order(cells))
         if rng is None:
@@ -166,9 +164,10 @@ class GainBucket:
         return cells[rng.randrange(len(cells))]
 
     def iter_descending(
-        self, rng: Optional[random.Random] = None, after: int = _NONE
+        self, block: int, rng: Optional[random.Random] = None, after: int = _NONE
     ) -> Iterator[tuple[int, int]]:
-        """All (cell, gain) pairs, highest gain slot first, produced on demand.
+        """All (cell, gain) pairs of block, highest gain slot first, produced
+        on demand.
 
         Within a slot the order follows the tie policy, so the first cell is
         the one `select` would pick: lifo reads the slot newest first, fifo
@@ -180,8 +179,8 @@ class GainBucket:
         cell `select` drew, for the top slot), the walk resumes just past
         it and draws nothing until it enters a lower slot.
         """
-        top = self.max_slot if after == _NONE else self.slot[after]
-        members = self.members
+        top = self.top[block] if after == _NONE else self.slot[after]
+        members = self.members[block]
         order = self.order
         if order is not None:
             for slot in range(top, -1, -1):
@@ -199,7 +198,7 @@ class GainBucket:
             bag = members[top]
             n = len(bag)
             # the slot's order runs from after's position around to the one before it
-            first = self.bag_pos[after]
+            first = self.pos[after]
             for i in range(first + 1, first + n):
                 yield bag[i - n if i >= n else i], top - self.span
             top -= 1
@@ -216,32 +215,32 @@ class GainBucket:
     def audit(self) -> None:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
         seen = 0
-        top = _NONE
-        for slot, cells in enumerate(self.members):
-            for pos, cell in enumerate(cells):
-                if self.slot[cell] != slot:
-                    raise AssertionError(f"cell {cell}: slot record disagrees with slot {slot}")
-                if self.bag_pos is not None and self.bag_pos[cell] != pos:
-                    raise AssertionError(f"cell {cell}: stale bag position")
-            if cells:
-                top = slot
-            seen += len(cells)
+        for block, members in enumerate(self.members):
+            top = _NONE
+            for slot, cells in enumerate(members):
+                for pos, cell in enumerate(cells):
+                    if self.slot[cell] != slot:
+                        raise AssertionError(f"cell {cell}: slot record disagrees with slot {slot}")
+                    if self.side[cell] != block:
+                        raise AssertionError(f"cell {cell} filed under the wrong block")
+                    if self.pos is not None and self.pos[cell] != pos:
+                        raise AssertionError(f"cell {cell}: stale bag position")
+                if cells:
+                    top = slot
+                seen += len(cells)
+            if self.top[block] != top:
+                raise AssertionError(f"block {block}: max pointer is not the highest nonempty slot")
         if sum(1 for s in self.slot if s != _NONE) != seen:
             raise AssertionError("slot records disagree with slot contents")
-        if self.max_slot != top:
-            raise AssertionError("max pointer is not the highest nonempty slot")
 
 
-# The state of one pass: B1's and B2's `GainBucket`, in that order.
-Buckets = tuple[GainBucket, GainBucket]
-
-# Called after every step of a pass with the live buckets, the partition and
+# Called after every step of a pass with the live bucket, the partition and
 # the pass's log of moved cells so far (two cells per swap step).
-StepHook = Callable[[Buckets, Partition, list[int]], None]
+StepHook = Callable[[GainBucket, Partition, list[int]], None]
 
 # A swap pass's pair search from the top pair (u, v) it is given, as
 # (u, v, gain, pair gains evaluated); see `pairwise.heap_scan`.
-PairScan = Callable[[Buckets, Hypergraph, Partition, random.Random, int, int], tuple[int, int, int, int]]
+PairScan = Callable[[GainBucket, Hypergraph, Partition, random.Random, int, int], tuple[int, int, int, int]]
 
 
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
@@ -262,20 +261,20 @@ def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     return g
 
 
-def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
-    """Compute all gains and file every cell in the bucket of its block,
-    both built for tie_policy (see GainBucket), and return the pair, which
-    is the pass state that `pass_steps` runs on.
+def init(h: Hypergraph, p: Partition, tie_policy: str) -> GainBucket:
+    """Compute all gains and file every cell under the block of its side in
+    one bucket built for tie_policy (see GainBucket) over p's live side
+    list, and return it: the pass state that `pass_steps` runs on.
 
     All gains come from one sweep over the nets, as `compute_gain` would give
     them: an uncut net with two or more pins lowers each of its pins, and in
-    a cut net the lone pin of a side holding one pin gains one.
+    a cut net the lone pin of a side holding one pin gains one. Cells enter
+    in ascending id order.
     """
     n = h.cell_count
-    span = h.max_cell_degree
-    buckets = (GainBucket(n, span, tie_policy), GainBucket(n, span, tie_policy))
-    gain = [0] * n
     side = p.side
+    buckets = GainBucket(side, h.max_cell_degree, tie_policy)
+    gain = [0] * n
     for pins, a, b in zip(h.nets, *p.counts):
         if a and b:
             if a == 1:
@@ -291,13 +290,11 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> Buckets:
         elif a + b > 1:
             for x in pins:
                 gain[x] -= 1
-    for blk in (B1, B2):
-        cells = [c for c in range(n) if side[c] == blk]
-        buckets[blk].fill(cells, [gain[c] for c in cells])
+    buckets.fill(range(n), gain)
     return buckets
 
 
-def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) -> int:
+def move_by_operations(buckets: GainBucket, h: Hypergraph, p: Partition, c: int) -> int:
     """Lock c, move it, adjust unlocked neighbor gains in place, and return
     c's gain: one `GainBucket.remove` for c, then one `GainBucket.relocate`
     per neighbor update, in the order of the rule below. `pass_steps` calls
@@ -307,9 +304,7 @@ def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) ->
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
     T-count of 1 lowers the lone T-side pin; after the transfer, an F-count
     of 0 lowers every unlocked pin and an F-count of 1 raises the lone
-    F-side pin. A T-count of 0 puts every pin on F, and an F-count of 0
-    after the transfer puts every pin on T, so each update knows its bucket,
-    and a pin is unlocked exactly when that bucket files it.
+    F-side pin. A pin is unlocked exactly when its slot record is set.
 
     The transfer is done here, as `apply_move` would do it: side and sizes
     flip between the two loops, each net's counts move as the second loop
@@ -319,20 +314,16 @@ def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) ->
     side = p.side
     f = side[c]
     t = 1 - f
-    bucket_f = buckets[f]
-    bucket_t = buckets[t]
-    slot_f = bucket_f.slot
-    slot_t = bucket_t.slot
-    k = slot_f[c]
+    slot = buckets.slot
+    k = slot[c]
     if k < 0:
         raise ValueError(f"cell {c} is locked")
-    bucket_f.remove(c)
-    span = bucket_f.span
+    buckets.remove(c)
+    span = buckets.span
     # the gain one slot above or below slot k is k + up or k + down
     up = 1 - span
     down = -1 - span
-    relocate_f = bucket_f.relocate
-    relocate_t = bucket_t.relocate
+    relocate = buckets.relocate
     nets = h.cell_nets[c]
     pins_of = h.nets
     count_f = p.counts[f]
@@ -341,15 +332,15 @@ def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) ->
         tc = count_t[e]
         if tc == 0:
             for x in pins_of[e]:
-                old = slot_f[x]
+                old = slot[x]
                 if old >= 0:
-                    relocate_f(x, old + up)
+                    relocate(x, old + up)
         elif tc == 1:
             for x in pins_of[e]:
                 if side[x] == t:
-                    old = slot_t[x]
+                    old = slot[x]
                     if old >= 0:
-                        relocate_t(x, old + down)
+                        relocate(x, old + down)
                     break
     side[c] = t
     sizes = p.block_size
@@ -363,15 +354,15 @@ def move_by_operations(buckets: Buckets, h: Hypergraph, p: Partition, c: int) ->
         count_t[e] += 1
         if fc == 0:
             for x in pins_of[e]:
-                old = slot_t[x]
+                old = slot[x]
                 if old >= 0:
-                    relocate_t(x, old + down)
+                    relocate(x, old + down)
         elif fc == 1:
             for x in pins_of[e]:
                 if side[x] == f:
-                    old = slot_f[x]
+                    old = slot[x]
                     if old >= 0:
-                        relocate_f(x, old + up)
+                        relocate(x, old + up)
                     break
     return gain
 
@@ -381,7 +372,7 @@ move_and_update = move_by_operations
 
 
 def pass_steps(
-    buckets: Buckets,
+    buckets: GainBucket,
     h: Hypergraph,
     p: Partition,
     rng: random.Random,
@@ -397,7 +388,7 @@ def pass_steps(
     A step is one FM move or, given heap_scan, a swap of u and v. An FM
     step moves a cell of the block to move from: the larger one; on equal
     sizes the one with the higher max gain, B1 on a tie. A block with no
-    unlocked cell yields to the other. Both buckets share one gain span, so
+    unlocked cell yields to the other. Both blocks share one gain span, so
     their max slots compare as their max gains do. The cell comes from that
     block's max slot, as `GainBucket.select` picks it: over lifo and fifo
     the slot's newest or oldest, over bags (random) the draw
@@ -411,9 +402,9 @@ def pass_steps(
     Otherwise heap_scan(buckets, h, p, rng, u, v) searches on from the pair
     and returns the best (u, v, gain, pair gains evaluated).
 
-    The max slots and cut live in locals, written back before heap_scan,
-    on_step and return. Over lifo and fifo the move is
-    `move_by_operations`, after which the loop reads the max slots back and
+    The loop reads and writes the bucket's ``top`` list in place. The cut
+    lives in a local, written back before heap_scan, on_step and return.
+    Over lifo and fifo the move is `move_by_operations`, and the loop
     lowers the cut by the gain it returns. Over bags the move is the one
     copy of `move_by_operations` written inline, its `remove` and
     `relocate` calls in the same order; each receiving count rises once its
@@ -421,11 +412,12 @@ def pass_steps(
     only lift the max slot, a fall that drains it leaves the slot below on
     top, and only a cell that was last in its bag can drain it.
     """
-    b1, b2 = buckets
-    span = b1.span
-    order = b1.order
-    arrays = ((b1.slot, b1.members, b1.bag_pos, b1), (b2.slot, b2.members, b2.bag_pos, b2))
-    tops = [b1.max_slot, b2.max_slot]
+    span = buckets.span
+    order = buckets.order
+    slot = buckets.slot
+    pos = buckets.pos
+    members = buckets.members
+    tops = buckets.top
     cut = p.cut_count
     side = p.side
     sizes = p.block_size
@@ -446,7 +438,7 @@ def pass_steps(
             s1, s2 = sizes
             f = B1 if m2 < 0 or (m1 >= 0 and (s1 > s2 or s1 == s2 and m1 >= m2)) else B2
             k = tops[f]
-            bag = arrays[f][1][k]
+            bag = members[f][k]
             if order is None:
                 n = len(bag)
                 bits = n.bit_length()
@@ -461,8 +453,8 @@ def pass_steps(
                 top_u, top_v = tops
                 if top_u < 0 or top_v < 0:
                     break
-                bag_u = b1.members[top_u]
-                bag_v = b2.members[top_v]
+                bag_u = members[B1][top_u]
+                bag_v = members[B2][top_v]
                 if order is None:
                     n = len(bag_u)
                     bits = n.bit_length()
@@ -482,7 +474,6 @@ def pass_steps(
                 nets_v = cell_nets[v]
                 for e in cell_nets[c]:
                     if e in nets_v and (count1[e] == 1 or count2[e] == 1):
-                        b1.max_slot, b2.max_slot = tops
                         p.cut_count = cut
                         c, v, _, n = heap_scan(buckets, h, p, rng, c, v)
                         evals += n
@@ -490,35 +481,34 @@ def pass_steps(
                 else:
                     evals += 1
                     if order is None:
-                        if len(bag_v) == 1 and (k := b2._top_from(top_v - 1)) >= 0:
-                            n = len(b2.members[k])
+                        if len(bag_v) == 1 and (k := buckets._top_from(B2, top_v - 1)) >= 0:
+                            n = len(members[B2][k])
                             while getrandbits(n.bit_length()) >= n:
                                 pass
-                        if len(bag_u) == 1 and (k := b1._top_from(top_u - 1)) >= 0:
-                            n = len(b1.members[k])
+                        if len(bag_u) == 1 and (k := buckets._top_from(B1, top_u - 1)) >= 0:
+                            n = len(members[B1][k])
                             while getrandbits(n.bit_length()) >= n:
                                 pass
             else:
                 c, v = v, _NONE
             f = side[c]
-            k = arrays[f][0][c]
+            k = slot[c]
         if order is not None:
             cut -= move_by_operations(buckets, h, p, c)
-            tops = [b1.max_slot, b2.max_slot]
         else:
             t = 1 - f
-            slot_f, bags_f, pos_f, bucket_f = arrays[f]
-            slot_t, bags_t, pos_t, bucket_t = arrays[t]
+            bags_f = members[f]
+            bags_t = members[t]
             top_f = tops[f]
             top_t = tops[t]
             bag = bags_f[k]
             last = bag.pop()
             if last != c:
-                i = pos_f[c]
-                bag[i], pos_f[last] = last, i
-            slot_f[c] = _NONE
+                i = pos[c]
+                bag[i], pos[last] = last, i
+            slot[c] = _NONE
             if not bag and k == top_f:
-                top_f = bucket_f._top_from(k - 1)
+                top_f = buckets._top_from(f, k - 1)
             count_f = counts[f]
             count_t = counts[t]
             nets = cell_nets[c]
@@ -527,37 +517,37 @@ def pass_steps(
                 count_t[e] = tc + 1
                 if tc == 0:
                     for x in pins_of[e]:
-                        old = slot_f[x]
+                        old = slot[x]
                         if old >= 0:
                             bag = bags_f[old]
                             last = bag.pop()
                             if last != x:
-                                i = pos_f[x]
-                                bag[i], pos_f[last] = last, i
+                                i = pos[x]
+                                bag[i], pos[last] = last, i
                             old += 1
                             bag = bags_f[old]
-                            pos_f[x] = len(bag)
+                            pos[x] = len(bag)
                             bag.append(x)
-                            slot_f[x] = old
+                            slot[x] = old
                             if old > top_f:
                                 top_f = old
                 elif tc == 1:
                     for x in pins_of[e]:
                         if side[x] == t:
-                            old = slot_t[x]
+                            old = slot[x]
                             if old >= 0:
                                 bag = bags_t[old]
                                 last = bag.pop()
                                 if last != x:
-                                    i = pos_t[x]
-                                    bag[i], pos_t[last] = last, i
+                                    i = pos[x]
+                                    bag[i], pos[last] = last, i
                                 elif not bag and old == top_t:
                                     top_t = old - 1
                                 old -= 1
                                 bag = bags_t[old]
-                                pos_t[x] = len(bag)
+                                pos[x] = len(bag)
                                 bag.append(x)
-                                slot_t[x] = old
+                                slot[x] = old
                             break
             side[c] = t
             sizes[f] -= 1
@@ -567,35 +557,35 @@ def pass_steps(
                 count_f[e] = fc
                 if fc == 0:
                     for x in pins_of[e]:
-                        old = slot_t[x]
+                        old = slot[x]
                         if old >= 0:
                             bag = bags_t[old]
                             last = bag.pop()
                             if last != x:
-                                i = pos_t[x]
-                                bag[i], pos_t[last] = last, i
+                                i = pos[x]
+                                bag[i], pos[last] = last, i
                             elif not bag and old == top_t:
                                 top_t = old - 1
                             old -= 1
                             bag = bags_t[old]
-                            pos_t[x] = len(bag)
+                            pos[x] = len(bag)
                             bag.append(x)
-                            slot_t[x] = old
+                            slot[x] = old
                 elif fc == 1:
                     for x in pins_of[e]:
                         if side[x] == f:
-                            old = slot_f[x]
+                            old = slot[x]
                             if old >= 0:
                                 bag = bags_f[old]
                                 last = bag.pop()
                                 if last != x:
-                                    i = pos_f[x]
-                                    bag[i], pos_f[last] = last, i
+                                    i = pos[x]
+                                    bag[i], pos[last] = last, i
                                 old += 1
                                 bag = bags_f[old]
-                                pos_f[x] = len(bag)
+                                pos[x] = len(bag)
                                 bag.append(x)
-                                slot_f[x] = old
+                                slot[x] = old
                                 if old > top_f:
                                     top_f = old
                             break
@@ -606,37 +596,25 @@ def pass_steps(
         if cut < best_cut and -1 <= sizes[B1] - sizes[B2] <= 1:
             best_t, best_cut = len(moved), cut
         if on_step is not None and v == _NONE:
-            b1.max_slot, b2.max_slot = tops
             p.cut_count = cut
             on_step(buckets, p, moved)
-    b1.max_slot, b2.max_slot = tops
     p.cut_count = cut
     return moved, best_t, best_cut, evals
 
 
-def select_max(buckets: Buckets, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
+def select_max(buckets: GainBucket, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
     """A cell at the block's max gain index, or None if the block has no
     unlocked cell, picked by `GainBucket.select`."""
-    return buckets[block].select(rng)
+    return buckets.select(block, rng)
 
 
-def audit(buckets: Buckets, h: Hypergraph, p: Partition) -> None:
-    """Cross-check bucket structure and filed gains against first principles.
-
-    A cell no bucket holds is locked and has no gain to check; every other
-    cell sits in the bucket of its block, at the slot of its exact gain."""
-    for bucket in buckets:
-        bucket.audit()
+def audit(buckets: GainBucket, h: Hypergraph, p: Partition) -> None:
+    """Cross-check the bucket's structure (`GainBucket.audit`) and the gains
+    it files for h's cells against first principles: a cell with a slot
+    record sits at the slot of its exact gain; a cell with none is locked
+    and has no gain to check."""
+    buckets.audit()
     for c in range(h.cell_count):
-        in1 = c in buckets[B1]
-        in2 = c in buckets[B2]
-        if in1 and in2:
-            raise AssertionError(f"cell {c} sits in both buckets")
-        if not (in1 or in2):
-            continue
-        bucket = buckets[p.side[c]]
-        if c not in bucket:
-            raise AssertionError(f"cell {c} bucketed under the wrong block")
-        g = bucket.slot[c] - bucket.span
-        if g != compute_gain(h, p, c):
+        g = buckets.slot[c] - buckets.span
+        if buckets.slot[c] != _NONE and g != compute_gain(h, p, c):
             raise AssertionError(f"cell {c}: filed gain {g} is stale")

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .fm import FmConfig, PassTrace, RunResult, StepHook, close_pass, run_passes
-from .gains import Buckets, init, pass_steps
+from .gains import GainBucket, init, pass_steps
 
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .gains import move_and_update  # noqa: F401
@@ -67,15 +67,15 @@ def pair_gain(h: Hypergraph, p: Partition, gains: Sequence[int], u: int, v: int)
 
 @dataclass(slots=True)
 class PairSelectionState:
-    """One step's pair search over the live gain buckets, and the exact pair
+    """One step's pair search over the live gain bucket, and the exact pair
     gains `best_pair` has evaluated for it."""
 
-    buckets: Buckets
+    buckets: GainBucket
     pair_gain_evals: int = 0
 
 
-def selection_state(buckets: Buckets) -> PairSelectionState:
-    """Set up a pair search over the current buckets; constant time."""
+def selection_state(buckets: GainBucket) -> PairSelectionState:
+    """Set up a pair search over the current bucket; constant time."""
     return PairSelectionState(buckets)
 
 
@@ -89,16 +89,16 @@ def best_pair(
     `heap_scan` from the two top cells, drawn by `GainBucket.select` from
     B1, then B2. `gains.pass_steps` makes the same search, with the scan's
     direct return written inline."""
-    b1, b2 = state.buckets
-    if b1.max_slot < 0 or b2.max_slot < 0:
+    buckets = state.buckets
+    if buckets.top[B1] < 0 or buckets.top[B2] < 0:
         raise ValueError("a block has no unlocked cells")
-    u, v, gain, evals = heap_scan(state.buckets, h, p, rng, b1.select(rng), b2.select(rng))
+    u, v, gain, evals = heap_scan(buckets, h, p, rng, buckets.select(B1, rng), buckets.select(B2, rng))
     state.pair_gain_evals += evals
     return u, v, gain
 
 
 def heap_scan(
-    buckets: Buckets,
+    buckets: GainBucket,
     h: Hypergraph,
     p: Partition,
     rng: random.Random,
@@ -109,7 +109,7 @@ def heap_scan(
     by `GainBucket.select`; returns (u, v, gain, pair gains evaluated).
 
     The search is Kernighan & Lin's sorted-list scan over each block's cells
-    in nonincreasing gain order, ties in the order of the buckets' tie
+    in nonincreasing gain order, ties in the order of the bucket's tie
     policy (`GainBucket.iter_descending`). Pairs come off a max-heap keyed
     by the bound gains[u] + gains[v], which the exact gain (`pair_gain`)
     never exceeds. Each pair (i, j) of the two orders enters the heap once,
@@ -124,14 +124,13 @@ def heap_scan(
     The first are the look-aheads into B2's second cell and into B1's, each
     of which enters a lower slot when its top bag holds one cell.
     """
-    b1, b2 = buckets
-    span = b1.span
-    gu = b1.slot[u] - span
-    gv = b2.slot[v] - span
+    span = buckets.span
+    gu = buckets.slot[u] - span
+    gv = buckets.slot[v] - span
     best = (u, v, gu + gv - correct_term(h, p, u, v))
     evals = 1
-    order_u = b1.iter_descending(rng, u)
-    order_v = b2.iter_descending(rng, v)
+    order_u = buckets.iter_descending(B1, rng, u)
+    order_v = buckets.iter_descending(B2, rng, v)
     us = [(u, gu)]
     vs = [(v, gv)]
     heap: list[tuple[int, int, int]] = []

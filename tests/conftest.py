@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from fmpart.fm import random_initial_partition
-from fmpart.hypergraph import B1, Partition, build
+from fmpart.hypergraph import B1, B2, Partition, build
 
 # the five-cell three-net fixture used throughout: c1..c5 are ids 0..4,
 # nets {c4,c5}, {c3,c5}, {c1,c2,c5}
@@ -53,15 +53,15 @@ def balanced_partition(h, rng: random.Random) -> Partition:
 
 
 def bucket_gains(buckets) -> list:
-    """Each cell's gain as the pass buckets file it, or None for a locked
-    cell, which no bucket holds."""
-    gains = [None] * len(buckets[B1].slot)
-    for bucket in buckets:
-        for c, g in bucket.iter_descending(random.Random(0)):
+    """Each cell's gain as the pass bucket files it, or None for a locked
+    cell, which no slot holds."""
+    gains = [None] * len(buckets.slot)
+    for block in (B1, B2):
+        for c, g in buckets.iter_descending(block, random.Random(0)):
             gains[c] = g
     return gains
 
 
 def filed_count(buckets) -> int:
-    """How many cells the buckets hold, counted from their slot records."""
-    return sum(s >= 0 for bucket in buckets for s in bucket.slot)
+    """How many cells the bucket holds, counted from its slot records."""
+    return sum(s >= 0 for s in buckets.slot)

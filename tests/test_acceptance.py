@@ -78,7 +78,7 @@ def test_criterion_03_incremental_updates_audited_every_move():
         def on_step(state, p, moved):
             nonlocal moves
             audit(state, h, p)  # filed gains vs from-scratch + bucket structure
-            assert all(c not in state[B1] and c not in state[B2] for c in moved)
+            assert all(state.slot[c] == -1 for c in moved)
             assert filed_count(state) == len(p.side) - len(moved)
             moves += 1
 

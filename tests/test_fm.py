@@ -105,8 +105,7 @@ class TestFmPass:
 
         def record_filed_gains(buckets):
             filed.clear()
-            for bucket in buckets:
-                filed.update((c, k - bucket.span) for c, k in enumerate(bucket.slot) if k >= 0)
+            filed.update((c, k - buckets.span) for c, k in enumerate(buckets.slot) if k >= 0)
 
         monkeypatch.setattr(fmpart.fm, "init", init_recording_gains)
         rng = random.Random(21)
@@ -175,9 +174,9 @@ class TestFmPass:
         top_from = GainBucket._top_from
         scanned = 0
 
-        def counted_scan(bucket, slot):
+        def counted_scan(bucket, block, slot):
             nonlocal scanned
-            top = top_from(bucket, slot)
+            top = top_from(bucket, block, slot)
             scanned += slot - top + (top >= 0)
             return top
 

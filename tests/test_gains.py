@@ -36,16 +36,16 @@ class TestInit:
     def test_fixture_state(self, h_star, p_star):
         st = init(h_star, p_star, "lifo")
         assert bucket_gains(st) == [0, 0, -1, -1, -1]  # no cell locked
-        assert st[B1].max_slot - st[B1].span == -1
-        assert st[B2].max_slot - st[B2].span == 0
+        assert st.top[B1] - st.span == -1
+        assert st.top[B2] - st.span == 0
         audit(st, h_star, p_star)
 
     def test_empty_hypergraph(self):
         h = build([], 0)
         p = Partition.from_sides(h, [])
         st = init(h, p, "lifo")
-        assert st[B1].max_slot == -1
-        assert st[B2].max_slot == -1
+        assert st.top[B1] == -1
+        assert st.top[B2] == -1
 
     def test_random_instances_audit_clean(self):
         rng = random.Random(14)
@@ -84,8 +84,8 @@ class TestMoveAndUpdate:
         gains = bucket_gains(st)
         assert gains[C4] == 1  # its pair net became cut with c4 alone on B1
         assert gains[C3] == 1
-        assert gains[C5] is None  # locked: in neither bucket
-        assert C5 not in st[B1] and C5 not in st[B2]
+        assert gains[C5] is None  # locked: in no slot
+        assert st.slot[C5] == -1
         assert filed_count(st) == 4
         audit(st, h_star, p_star)
 
@@ -118,7 +118,7 @@ class TestMoveAndUpdate:
                 expected = compute_gain(h, p, c)
                 assert move_and_update(st, h, p, c) == expected
                 audit(st, h, p)  # also checks filed gains == from-scratch
-                assert c not in st[B1] and c not in st[B2]
+                assert st.slot[c] == -1
                 assert filed_count(st) == n - moves
                 assert p.cut_count == cut_count(h, p.side)
 
@@ -167,7 +167,56 @@ class TestSelectMax:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown tie policy"):
-            GainBucket(2, span=1, policy="best")
+            GainBucket([B1, B1], span=1, policy="best")
+
+
+class TestAuditFiresOnCorruption:
+    """Each check of `audit` raises on the fixture's state under random (B1
+    files c3, c4 and c5 at gain -1, slot 2; B2 files c1 and c2 at gain 0,
+    slot 3) once it is broken in just the way the check guards against."""
+
+    @staticmethod
+    def stale_slot_record(st, p):
+        st.slot[C3] = 3
+
+    @staticmethod
+    def stale_bag_position(st, p):
+        st.pos[C1], st.pos[C2] = st.pos[C2], st.pos[C1]
+
+    @staticmethod
+    def wrong_max_slot(st, p):
+        st.top[B1] = 3
+
+    @staticmethod
+    def filed_under_wrong_block(st, p):
+        p.side[C1] = B1
+
+    @staticmethod
+    def stale_gain(st, p):
+        st.relocate(C4, 0)
+
+    @staticmethod
+    def slot_count_mismatch(st, p):
+        st.remove(C1)
+        st.slot[C1] = 3
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("stale_slot_record", "slot record disagrees with slot 2"),
+            ("stale_bag_position", "stale bag position"),
+            ("wrong_max_slot", "max pointer is not the highest nonempty slot"),
+            ("filed_under_wrong_block", "filed under the wrong block"),
+            ("stale_gain", "filed gain 0 is stale"),
+            ("slot_count_mismatch", "slot records disagree with slot contents"),
+        ],
+    )
+    def test_check_fires(self, h_star, p_star, corruption, message):
+        st = init(h_star, p_star, "random")
+        audit(st, h_star, p_star)
+        getattr(self, corruption)(st, p_star)
+        with pytest.raises(AssertionError, match=message):
+            audit(st, h_star, p_star)
 
 
 # one tie policy per bucket structure: ordered slots ("chain") serve lifo and
@@ -178,22 +227,22 @@ STRUCTURES = pytest.mark.parametrize("policy", ["lifo", "random"], ids=["chain",
 class TestGainBucket:
     @STRUCTURES
     def test_max_pointer_falls_back_on_drain(self, policy):
-        b = GainBucket(4, span=3, policy=policy)
+        b = GainBucket([B1] * 4, span=3, policy=policy)
         b.fill((0, 1, 2), (2, 2, -1))
-        assert b.max_slot - b.span == 2
+        assert b.top[B1] - b.span == 2
         b.remove(0)
-        assert b.max_slot - b.span == 2
+        assert b.top[B1] - b.span == 2
         b.remove(1)
-        assert b.max_slot - b.span == -1
+        assert b.top[B1] - b.span == -1
         b.audit()
         b.remove(2)
-        assert b.max_slot == -1
+        assert b.top[B1] == -1
         b.audit()
 
     @STRUCTURES
     def test_relocate_keeps_links_consistent(self, policy):
         rng = random.Random(17)
-        b = GainBucket(10, span=5, policy=policy)
+        b = GainBucket([B1] * 10, span=5, policy=policy)
         gains = [rng.randint(-5, 5) for _ in range(10)]
         b.fill(range(10), gains)
         for _ in range(200):
@@ -201,11 +250,11 @@ class TestGainBucket:
             gains[c] = rng.randint(-5, 5)
             b.relocate(c, gains[c])
             b.audit()
-        assert filed_count((b,)) == 10
+        assert filed_count(b) == 10
 
     @STRUCTURES
     def test_remove_absent_cell_rejected(self, policy):
-        b = GainBucket(3, span=1, policy=policy)
+        b = GainBucket([B1] * 3, span=1, policy=policy)
         with pytest.raises(ValueError):
             b.remove(0)
         with pytest.raises(ValueError):
@@ -216,8 +265,8 @@ class TestGainBucket:
         # relocate is one body; the order it leaves must be the one that
         # remove followed by a one-cell fill leaves, slot by slot
         rng = random.Random(18)
-        one = GainBucket(12, span=4, policy=policy)
-        two = GainBucket(12, span=4, policy=policy)
+        one = GainBucket([B1] * 12, span=4, policy=policy)
+        two = GainBucket([B1] * 12, span=4, policy=policy)
         for c in range(12):
             g = rng.randint(-4, 4)
             one.fill((c,), (g,))
@@ -230,10 +279,10 @@ class TestGainBucket:
             two.fill((c,), (g,))
             one.audit()
             seed = rng.random()
-            assert list(one.iter_descending(random.Random(seed))) == list(
-                two.iter_descending(random.Random(seed))
+            assert list(one.iter_descending(B1, random.Random(seed))) == list(
+                two.iter_descending(B1, random.Random(seed))
             )
-            assert one.max_slot == two.max_slot
+            assert one.top == two.top
 
     @pytest.mark.parametrize("policy", ["lifo", "fifo"])
     def test_tie_order_after_churn_matches_a_list_model(self, policy):
@@ -244,11 +293,11 @@ class TestGainBucket:
         span = 3
         for _ in range(40):
             n = rng.randint(1, 12)
-            bucket = GainBucket(n, span, policy)
+            bucket = GainBucket([B1] * n, span, policy)
             model = [[] for _ in range(2 * span + 1)]
             for _ in range(60):
-                filed = [c for c in range(n) if c in bucket]
-                free = [c for c in range(n) if c not in bucket]
+                filed = [c for c in range(n) if bucket.slot[c] >= 0]
+                free = [c for c in range(n) if bucket.slot[c] < 0]
                 kind = rng.random()
                 if free and (not filed or kind < 0.3):
                     cells = rng.sample(free, rng.randint(1, len(free)))
@@ -271,12 +320,12 @@ class TestGainBucket:
                     for k in range(2 * span, -1, -1)
                     for c in (model[k][::-1] if policy == "lifo" else model[k])
                 ]
-                assert list(bucket.iter_descending()) == want
-                assert bucket.select() == (want[0][0] if want else None)
+                assert list(bucket.iter_descending(B1)) == want
+                assert bucket.select(B1) == (want[0][0] if want else None)
                 for i, (c, g) in enumerate(want):
                     if i == 0 or want[i - 1][1] != g:
                         # resumed past the first cell of its slot
-                        assert list(bucket.iter_descending(after=c)) == want[i + 1:]
+                        assert list(bucket.iter_descending(B1, after=c)) == want[i + 1:]
 
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_resumed_order_is_the_rest_of_the_order(self, policy):
@@ -286,19 +335,19 @@ class TestGainBucket:
         rng = random.Random(19)
         for _ in range(40):
             n = rng.randint(1, 14)
-            bucket = GainBucket(n, span=3, policy=policy)
+            bucket = GainBucket([B1] * n, span=3, policy=policy)
             bucket.fill(range(n), [rng.randint(-3, 3) for _ in range(n)])
             seed = rng.random()
-            whole = list(bucket.iter_descending(random.Random(seed)))
+            whole = list(bucket.iter_descending(B1, random.Random(seed)))
             for k in range(1, n + 1):
                 if k > 1 and whole[k - 2][1] == whole[k - 1][1]:
                     continue
                 walk_rng = random.Random(seed)
-                walk = bucket.iter_descending(walk_rng)
+                walk = bucket.iter_descending(B1, walk_rng)
                 head = [next(walk) for _ in range(k)]
                 resume_rng = random.Random()
                 resume_rng.setstate(walk_rng.getstate())
-                rest = list(bucket.iter_descending(resume_rng, head[-1][0]))
+                rest = list(bucket.iter_descending(B1, resume_rng, head[-1][0]))
                 assert head + rest == whole
                 assert rest == list(walk)
                 assert resume_rng.getstate() == walk_rng.getstate()
@@ -317,7 +366,7 @@ class TestPartitionAfterEveryMove:
         def check(state, p, moved):
             assert p == Partition.from_sides(h, p.side)
             for c in moved[len(seen) :]:
-                assert c not in state[B1] and c not in state[B2]
+                assert state.slot[c] == -1
                 seen.append(c)
             assert seen == moved
             assert filed_count(state) == h.cell_count - len(moved)

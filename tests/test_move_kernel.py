@@ -17,11 +17,11 @@ from fmpart.pairwise import best_pair, correct_term, pad_dummy, selection_state,
 from fmpart.synth import random_hypergraph
 
 
-def reference_select(bucket, rng):
-    """One cell of the bucket's max slot in tie-policy order, or None."""
-    if bucket.max_slot < 0:
+def reference_select(bucket, block, rng):
+    """One cell of the block's max slot in tie-policy order, or None."""
+    if bucket.top[block] < 0:
         return None
-    cells = list(bucket.members[bucket.max_slot])
+    cells = list(bucket.members[block][bucket.top[block]])
     if bucket.order is reversed:
         return cells[-1]
     if bucket.order is iter:
@@ -31,9 +31,10 @@ def reference_select(bucket, rng):
 
 def bucket_state(bucket):
     """Everything that fixes a bucket's order: slots, each slot's cells in
-    order (as lists, since dicts compare equal in any order), bag positions
-    and the max slot."""
-    return bucket.slot, [list(cells) for cells in bucket.members], bucket.bag_pos, bucket.max_slot
+    order per block (as lists, since dicts compare equal in any order), bag
+    positions and the max slots."""
+    members = [[list(cells) for cells in slots] for slots in bucket.members]
+    return bucket.slot, members, bucket.pos, bucket.top
 
 
 def instances(rng, count, max_cells):
@@ -77,11 +78,11 @@ class TestKernelMatchesReference:
             mirror["moved"] = len(moved)
             assert p == ref_p
             audit(buckets, h, p)
+            assert bucket_state(buckets) == bucket_state(ref_buckets)
             for blk in (B1, B2):
-                assert bucket_state(buckets[blk]) == bucket_state(ref_buckets[blk])
                 seed = draws.random()
                 assert select_max(buckets, blk, random.Random(seed)) == reference_select(
-                    ref_buckets[blk], random.Random(seed)
+                    ref_buckets, blk, random.Random(seed)
                 )
 
         monkeypatch.setattr(module, "init", init_with_mirror)
@@ -112,10 +113,9 @@ def reference_source_block(buckets, p):
     one with the higher max gain, B1 on a tie. A block with no unlocked
     cell yields to the other, and with none left there is no block.
 
-    Both buckets share one gain span, so their max slots compare as their
-    max gains do; an empty bucket's max slot is -1."""
-    m1 = buckets[B1].max_slot
-    m2 = buckets[B2].max_slot
+    Both blocks share one gain span, so their max slots compare as their
+    max gains do; a block with no unlocked cell has max slot -1."""
+    m1, m2 = buckets.top
     if m1 < 0:
         return None if m2 < 0 else B2
     if m2 < 0:
@@ -131,7 +131,7 @@ def reference_fm_steps(h, p, rng, policy):
     buckets = init(h, p, policy)
     steps = []
     while (blk := reference_source_block(buckets, p)) is not None:
-        c = buckets[blk].select(rng)
+        c = buckets.select(blk, rng)
         gain = move_by_operations(buckets, h, p, c)
         steps.append(((c,), gain, p.cut_count))
     return steps
@@ -150,11 +150,14 @@ def reference_swap_steps(h, p, rng, policy, seen):
     for _ in range(h.cell_count // 2):
         peek = random.Random()
         peek.setstate(rng.getstate())
-        u, v = (reference_select(bucket, peek) for bucket in buckets)
+        u, v = (reference_select(buckets, blk, peek) for blk in (B1, B2))
         if correct_term(h, p, u, v):
             seen["fallback"] += 1
         elif policy == "random":
-            lower = [len(b.members[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0 for b in buckets]
+            lower = [
+                len(buckets.members[blk][top]) == 1 and buckets._top_from(blk, top - 1) >= 0
+                for blk, top in enumerate(buckets.top)
+            ]
             seen[("neither", "B1", "B2", "both")[lower[0] + 2 * lower[1]]] += 1
         sel = selection_state(buckets)
         u, v, pair = best_pair(sel, h, p, rng)
@@ -291,7 +294,7 @@ def test_audit_every_k_steps_on_1k_cells(run, policy):
 
     def check(buckets, p, moved):
         step = len(audited) + 1
-        last = buckets[B1].max_slot < 0 and buckets[B2].max_slot < 0
+        last = buckets.top == [-1, -1]
         if step % AUDIT_EVERY == 0 or last:
             audit(buckets, h, p)
             assert p == Partition.from_sides(h, p.side)

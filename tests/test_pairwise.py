@@ -54,9 +54,8 @@ def heap_best_pair(state, h, p, rng):
         cells.append(entry)
         return True
 
-    b1, b2 = state.buckets
-    order_u = b1.iter_descending(rng)
-    order_v = b2.iter_descending(rng)
+    order_u = state.buckets.iter_descending(B1, rng)
+    order_v = state.buckets.iter_descending(B2, rng)
     us = [next(order_u)]
     vs = [next(order_v)]
     best = None
@@ -232,7 +231,7 @@ class TestBestPair:
 
         def checker(policy):
             def on_step(state, p, steps):
-                if state[B1].max_slot < 0:
+                if state.top[B1] < 0:
                     return
                 gains = bucket_gains(state)
                 unlocked = [c for c in range(h.cell_count) if gains[c] is not None]
@@ -275,11 +274,11 @@ class TestBestPair:
 
         def top_pair(buckets, rng):
             pair = []
-            for bucket in buckets:
-                cells = list(bucket.members[bucket.max_slot])
-                if bucket.order is reversed:
+            for blk in (B1, B2):
+                cells = list(buckets.members[blk][buckets.top[blk]])
+                if buckets.order is reversed:
                     pair.append(cells[-1])
-                elif bucket.order is iter:
+                elif buckets.order is iter:
                     pair.append(cells[0])
                 else:
                     pair.append(cells[rng.randrange(len(cells))])
@@ -297,9 +296,9 @@ class TestBestPair:
                 # a two-pin net on u and v is cut, as they lie on opposite blocks
                 if any(len(h.nets[n]) == 2 for n in h.cell_nets[u] if n in h.cell_nets[v]):
                     seen["shared two-pin cut net"] += 1
-                if any(
-                    b.order is None and len(b.members[b.max_slot]) == 1 and b._top_from(b.max_slot - 1) >= 0
-                    for b in ref_buckets
+                if ref_buckets.order is None and any(
+                    len(ref_buckets.members[blk][top]) == 1 and ref_buckets._top_from(blk, top - 1) >= 0
+                    for blk, top in enumerate(ref_buckets.top)
                 ):
                     seen["look-ahead enters a lower slot"] += 1
                 ref = selection_state(ref_buckets)
@@ -339,7 +338,7 @@ class TestBestPair:
             for policy in TIE_POLICIES:
                 st = init(h, p, policy)
                 for block in (B1, B2):
-                    order = list(st[block].iter_descending(rng))
+                    order = list(st.iter_descending(block, rng))
                     gains = [g for _, g in order]
                     assert gains == sorted(gains, reverse=True)
                     assert all(g == compute_gain(h, p, c) for c, g in order)
