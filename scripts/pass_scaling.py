@@ -7,11 +7,17 @@
 For 10k, 40k and 160k cells, the script builds `synth.random_hypergraph`
 with as many nets as cells (2-6 pins each) and a random balanced start,
 then times one `fm_pass` from that start under each tie policy with
-`time.process_time`, best of three. It prints microseconds per pin for
-this checkout and, given --parent, for that checkout too, on the same
-instances. A figure that rises with size marks a superlinear path; no
-benchmark workload runs lifo or fifo, so this is where their passes are
-timed at scale.
+`time.process_time`, --pairs times (default 5). It prints the best
+microseconds per pin of this checkout and, given --parent, of that
+checkout too, on the same instances. With --parent the two checkouts'
+passes run in alternating pairs, swapping which goes first in each pair
+as `scripts/ab_time.py` does, and the script also prints the median of
+the pairs' ratios (this checkout over --parent) and how many pairs this
+checkout won (ratio below 1): a single reading of each side, one after
+the other, once put `random` at 10k cells 34% apart while its opcodes per
+move differed by 3%. A figure that rises with size marks a superlinear
+path; no benchmark workload runs lifo or fifo, so this is where their
+passes are timed at scale.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import gc
 import random
+import statistics
 import time
 
 from ab_time import ROOT, TIE_POLICIES, load_fmpart
@@ -26,36 +33,47 @@ from ab_time import ROOT, TIE_POLICIES, load_fmpart
 SIZES = (10_000, 40_000, 160_000)
 
 
-def us_per_pin(fmpart, cells: int) -> dict[str, float]:
-    """The best of three timed passes per tie policy, in µs per pin."""
+def instance(fmpart, cells: int):
+    """The hypergraph of that size and its random balanced start."""
     h = fmpart.synth.random_hypergraph(random.Random(cells), cells, cells)
-    start = fmpart.fm.random_initial_partition(h, random.Random(1))
-    best = {}
-    for policy in TIE_POLICIES:
-        cfg = fmpart.fm.FmConfig(seed=1, tie_policy=policy)
-        times = []
-        for _ in range(3):
-            p = start.clone()
-            gc.collect()
-            t = time.process_time()
-            fmpart.fm.fm_pass(h, p, cfg, random.Random(2))
-            times.append(time.process_time() - t)
-        best[policy] = min(times) / h.pin_count * 1e6
-    return best
+    return h, fmpart.fm.random_initial_partition(h, random.Random(1))
+
+
+def us_per_pin(fmpart, h, start, policy: str) -> float:
+    """One timed pass from a copy of start under policy, in µs per pin."""
+    cfg = fmpart.fm.FmConfig(seed=1, tie_policy=policy)
+    p = start.clone()
+    gc.collect()
+    t = time.process_time()
+    fmpart.fm.fm_pass(h, p, cfg, random.Random(2))
+    return (time.process_time() - t) / h.pin_count * 1e6
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", help="checkout to compare against, e.g. a clone of the parent commit")
+    ap.add_argument("--pairs", type=int, default=5, help="timed passes (pairs, given --parent) per policy (default 5)")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
     sides = {"change": load_fmpart(ROOT, "fm", "synth")}
     if args.parent:
         sides["parent"] = load_fmpart(args.parent, "fm", "synth")
     for cells in SIZES:
-        figures = {side: us_per_pin(fmpart, cells) for side, fmpart in sides.items()}
+        instances = {side: instance(fmpart, cells) for side, fmpart in sides.items()}
         for policy in TIE_POLICIES:
-            print(f"{policy:6} {cells:>7} cells: " + ", ".join(f"{s} {f[policy]:.2f} us/pin" for s, f in figures.items()),
-                  flush=True)
+            times = {side: [] for side in sides}
+            for i in range(args.pairs):
+                for side in sides if i % 2 == 0 else reversed(sides):
+                    times[side].append(us_per_pin(sides[side], *instances[side], policy))
+            line = f"{policy:6} {cells:>7} cells: " + ", ".join(f"{s} {min(t):.2f}" for s, t in times.items())
+            line += f" us/pin (best of {args.pairs})"
+            if args.parent:
+                ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+                line += (f", median ratio {statistics.median(ratios):.3f}, "
+                         f"change won {sum(r < 1 for r in ratios)}/{len(ratios)}")
+            print(line, flush=True)
+        del instances
     return 0
 
 

@@ -91,7 +91,6 @@ def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int)
     """
     if len(moved) - keep > keep and len(moved) == h.cell_count:
         p.side[:] = [1 - s for s in p.side]
-        p.block_size.reverse()
         p.counts.reverse()
         for c in moved[:keep]:
             apply_move(p, h, c)
@@ -157,9 +156,8 @@ def fm_pass(
     `gains.pass_steps`.
     """
     buckets = init(h, p, cfg.tie_policy)
-    sizes = p.block_size
     initial_cut = p.cut_count
-    balanced_start = -1 <= sizes[B1] - sizes[B2] <= 1
+    balanced_start = -1 <= 2 * p.side.count(B1) - h.cell_count <= 1
     # an unbalanced start scores above every reachable cut, so the first
     # balanced prefix beats it
     best_t, best_cut = 0, (initial_cut if balanced_start else h.net_count + 1)

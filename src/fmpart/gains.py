@@ -306,8 +306,8 @@ def move_by_operations(buckets: GainBucket, h: Hypergraph, p: Partition, c: int)
     of 0 lowers every unlocked pin and an F-count of 1 raises the lone
     F-side pin. A pin is unlocked exactly when its slot record is set.
 
-    The transfer is done here, as `apply_move` would do it: side and sizes
-    flip between the two loops, each net's counts move as the second loop
+    The transfer is done here, as `apply_move` would do it: the side
+    flips between the two loops, each net's counts move as the second loop
     reaches it, and the cut falls by c's gain, which is exact because c was
     unlocked until this call.
     """
@@ -343,9 +343,6 @@ def move_by_operations(buckets: GainBucket, h: Hypergraph, p: Partition, c: int)
                         relocate(x, old + down)
                     break
     side[c] = t
-    sizes = p.block_size
-    sizes[f] -= 1
-    sizes[t] += 1
     gain = k - span
     p.cut_count -= gain
     for e in nets:
@@ -402,8 +399,11 @@ def pass_steps(
     Otherwise heap_scan(buckets, h, p, rng, u, v) searches on from the pair
     and returns the best (u, v, gain, pair gains evaluated).
 
-    The loop reads and writes the bucket's ``top`` list in place. The cut
-    lives in a local, written back before heap_scan, on_step and return.
+    The loop reads and writes the bucket's ``top`` list in place. It keeps
+    the cut and the imbalance d = |B1| - |B2| in locals: d is counted off
+    the side list at entry and moves by 2 with every move; the cut is
+    written back before on_step and on return, as heap_scan reads only the
+    bucket, the side list and the pin counts.
     Over lifo and fifo the move is `move_by_operations`, and the loop
     lowers the cut by the gain it returns. Over bags the move is the one
     copy of `move_by_operations` written inline, its `remove` and
@@ -420,7 +420,7 @@ def pass_steps(
     tops = buckets.top
     cut = p.cut_count
     side = p.side
-    sizes = p.block_size
+    d = 2 * side.count(B1) - len(side)
     counts = p.counts
     count1, count2 = counts
     cell_nets = h.cell_nets
@@ -435,8 +435,7 @@ def pass_steps(
             m1, m2 = tops
             if m1 < 0 and m2 < 0:
                 break
-            s1, s2 = sizes
-            f = B1 if m2 < 0 or (m1 >= 0 and (s1 > s2 or s1 == s2 and m1 >= m2)) else B2
+            f = B1 if m2 < 0 or (m1 >= 0 and (d > 0 or d == 0 and m1 >= m2)) else B2
             k = tops[f]
             bag = members[f][k]
             if order is None:
@@ -474,7 +473,6 @@ def pass_steps(
                 nets_v = cell_nets[v]
                 for e in cell_nets[c]:
                     if e in nets_v and (count1[e] == 1 or count2[e] == 1):
-                        p.cut_count = cut
                         c, v, _, n = heap_scan(buckets, h, p, rng, c, v)
                         evals += n
                         break
@@ -550,8 +548,6 @@ def pass_steps(
                                 slot[x] = old
                             break
             side[c] = t
-            sizes[f] -= 1
-            sizes[t] += 1
             for e in nets:
                 fc = count_f[e] - 1
                 count_f[e] = fc
@@ -592,8 +588,9 @@ def pass_steps(
             tops[f] = top_f
             tops[t] = top_t
             cut -= k - span
+        d += 2 if f else -2  # a move from B2 (1) grows B1
         moved.append(c)
-        if cut < best_cut and -1 <= sizes[B1] - sizes[B2] <= 1:
+        if cut < best_cut and -1 <= d <= 1:
             best_t, best_cut = len(moved), cut
         if on_step is not None and v == _NONE:
             p.cut_count = cut

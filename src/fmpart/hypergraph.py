@@ -68,17 +68,18 @@ def build(net_pin_lists: Iterable[Sequence[int]], cell_count: int) -> Hypergraph
 
 @dataclass
 class Partition:
-    """Mutable block assignment with per-net pin counts and a maintained cut count.
+    """Mutable block assignment: the side of each cell, per-net pin counts
+    and a maintained cut count.
 
     counts[b][n] is the number of pins of net n on block b: one flat list per
     block, so a move indexes two lists and flipping every cell swaps them.
+    Block sizes are not stored; `side.count(b)` gives them.
 
     Single-writer state: a partition belongs to one run at a time, though it
     may be handed to another thread between runs.
     """
 
     side: list[int]
-    block_size: list[int]
     counts: list[list[int]]
     cut_count: int
 
@@ -93,11 +94,11 @@ class Partition:
         on_2 = [sum(map(on_b2, pins)) for pins in h.nets]  # B1 is 0 and B2 is 1
         on_1 = [len(pins) - b for pins, b in zip(h.nets, on_2)]
         cut = sum(1 for a, b in zip(on_1, on_2) if a and b)
-        return cls(side, [side.count(B1), side.count(B2)], [on_1, on_2], cut)
+        return cls(side, [on_1, on_2], cut)
 
     def clone(self) -> "Partition":
         on_1, on_2 = self.counts
-        return Partition(list(self.side), list(self.block_size), [list(on_1), list(on_2)], self.cut_count)
+        return Partition(list(self.side), [list(on_1), list(on_2)], self.cut_count)
 
 
 def cut_count(h: Hypergraph, side: Sequence[int]) -> int:
@@ -115,12 +116,10 @@ def cut_count(h: Hypergraph, side: Sequence[int]) -> int:
 
 
 def apply_move(p: Partition, h: Hypergraph, c: int) -> None:
-    """Flip c's block, updating sizes, pin counts and cut in O(degree of c)."""
+    """Flip c's block, updating its side, pin counts and cut in O(degree of c)."""
     f = p.side[c]
     t = 1 - f
     p.side[c] = t
-    p.block_size[f] -= 1
-    p.block_size[t] += 1
     count_f = p.counts[f]
     count_t = p.counts[t]
     delta = 0

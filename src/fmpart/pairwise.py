@@ -174,8 +174,8 @@ def variant_pass(
     steps are `gains.pass_steps`: each draws the top pair and moves it,
     calling `heap_scan` only when the pair's correction term is nonzero.
     """
-    m = h.cell_count // 2
-    if p.block_size[B1] != m or p.block_size[B2] != m:
+    n = h.cell_count
+    if n % 2 or 2 * p.side.count(B1) != n:
         raise ValueError("pairwise pass needs equal block sizes")
     buckets = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count

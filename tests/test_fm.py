@@ -38,11 +38,11 @@ class TestConfig:
 class TestRandomInitialPartition:
     def test_odd_count_splits_three_two(self, h_star):
         p = random_initial_partition(h_star, random.Random(1))
-        assert sorted(p.block_size) == [2, 3]
+        assert sorted([p.side.count(B1), p.side.count(B2)]) == [2, 3]
 
     def test_even_count_splits_evenly(self, h4):
         p = random_initial_partition(h4, random.Random(1))
-        assert p.block_size == [2, 2]
+        assert [p.side.count(B1), p.side.count(B2)] == [2, 2]
 
     def test_same_seed_same_partition(self, h_star):
         a = random_initial_partition(h_star, random.Random(9))
@@ -50,10 +50,8 @@ class TestRandomInitialPartition:
         assert a == b
 
     def test_both_orientations_reachable(self, h_star):
-        sizes = {
-            tuple(random_initial_partition(h_star, random.Random(s)).block_size)
-            for s in range(40)
-        }
+        sides = [random_initial_partition(h_star, random.Random(s)).side for s in range(40)]
+        sizes = {(side.count(B1), side.count(B2)) for side in sides}
         assert sizes == {(2, 3), (3, 2)}
 
 
@@ -64,7 +62,7 @@ class TestFmPass:
             assert p.cut_count == 2
             fm_pass(h4, p, FmConfig(seed=seed), random.Random(seed))
             assert p.cut_count == 0
-            assert p.block_size == [2, 2]
+            assert [p.side.count(B1), p.side.count(B2)] == [2, 2]
 
     def test_two_cell_net_keeps_balance(self):
         # the only cut-free configurations put both cells in one block;
@@ -74,7 +72,7 @@ class TestFmPass:
             p = Partition.from_sides(h, [0, 1])
             trace = fm_pass(h, p, FmConfig(seed=seed), random.Random(seed))
             assert p.cut_count == 1
-            assert sorted(p.block_size) == [1, 1]
+            assert sorted([p.side.count(B1), p.side.count(B2)]) == [1, 1]
             assert trace.best_cut == 1
 
     def test_start_at_optimum_never_worsens(self, h_star):
@@ -156,7 +154,7 @@ class TestFmPass:
             h = random_hypergraph(rng, n, rng.randint(1, 16), 1, 6)
             p = balanced_partition(h, rng)
             fm_pass(h, p, FmConfig(seed=4), rng)
-            assert abs(p.block_size[B1] - p.block_size[B2]) <= 1
+            assert abs(p.side.count(B1) - p.side.count(B2)) <= 1
 
     def test_pass_relocations_linear_in_pins(self, monkeypatch):
         # criterion 09's instances and starts, with work counted, not timed:
@@ -298,10 +296,10 @@ def prefix_log(nets, cells, side):
     size difference S(B1) - S(B2) of every prefix, the empty one first."""
     h = build(nets, cells)
     p = Partition.from_sides(h, side)
-    log = [(p.cut_count, p.block_size[B1] - p.block_size[B2])]
+    log = [(p.cut_count, p.side.count(B1) - p.side.count(B2))]
 
     def on_step(buckets, q, moved):
-        log.append((q.cut_count, q.block_size[B1] - q.block_size[B2]))
+        log.append((q.cut_count, q.side.count(B1) - q.side.count(B2)))
 
     trace = fm_pass(h, p, FmConfig(seed=1), random.Random(1), on_step=on_step)
     assert len(log) == len(trace.steps) + 1
@@ -314,7 +312,7 @@ class TestBestPrefix:
         # the first move cuts 1 net but leaves sizes 1 and 3
         assert log[:3] == [(4, 0), (1, 2), (2, 0)]
         assert (trace.best_prefix, trace.best_cut) == (2, 2)
-        assert (p.cut_count, p.block_size) == (2, [2, 2])
+        assert (p.cut_count, [p.side.count(B1), p.side.count(B2)]) == (2, [2, 2])
 
     def test_tie_resolves_to_earliest(self):
         trace, p, log = prefix_log([[0, 1, 4], [1, 2, 4], [0, 2, 3]], 5, [0, 0, 1, 0, 1])
@@ -338,7 +336,7 @@ class TestBestPrefix:
         trace, p, log = prefix_log([[0, 1]], 2, [0, 0])
         assert log == [(0, 2), (1, 0), (0, -2)]
         assert (trace.initial_cut, trace.best_cut, trace.best_prefix) == (0, 1, 1)
-        assert (p.cut_count, p.block_size) == (1, [1, 1])
+        assert (p.cut_count, [p.side.count(B1), p.side.count(B2)]) == (1, [1, 1])
 
 
 class TestFmRun:

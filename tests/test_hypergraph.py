@@ -1,13 +1,13 @@
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import C1, C3, C5, hypergraph_with_partition
-from fmpart.hypergraph import Partition, apply_move, build, cut_count
+from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 
 
 class TestBuild:
@@ -76,6 +76,10 @@ class TestFromSides:
         with pytest.raises(ValueError, match="must be 0 or 1"):
             Partition.from_sides(h_star, [0, 1, bad, 1, 0])
 
+    def test_partition_holds_no_block_sizes(self):
+        # sizes are side.count(b); a stored copy would be one more list to keep in step
+        assert [f.name for f in fields(Partition)] == ["side", "counts", "cut_count"]
+
 
 class TestCutCount:
     def test_fixture_cut_is_one(self, h_star, p_star):
@@ -106,7 +110,7 @@ class TestApplyMove:
         apply_move(p_star, h_star, C5)
         assert p_star.side[C5] == 1
         assert p_star.cut_count == 2  # the triple net uncuts, both pairs cut
-        assert p_star.block_size == [2, 3]
+        assert [p_star.side.count(B1), p_star.side.count(B2)] == [2, 3]
         assert p_star.cut_count == cut_count(h_star, p_star.side)
 
     def test_involution(self, h_star, p_star):
@@ -120,7 +124,7 @@ class TestApplyMove:
         p = Partition.from_sides(h, [0, 0, 0])
         apply_move(p, h, 2)
         assert p.cut_count == 0
-        assert p.block_size == [2, 1]
+        assert [p.side.count(B1), p.side.count(B2)] == [2, 1]
 
 
 @settings(max_examples=200)
@@ -130,7 +134,6 @@ def test_incremental_cut_matches_recount(hp, moves):
     for m in moves:
         apply_move(p, h, m % h.cell_count)
         assert p.cut_count == cut_count(h, p.side)
-        assert p.block_size == [p.side.count(0), p.side.count(1)]
         for n, pins in enumerate(h.nets):
             assert p.counts[0][n] + p.counts[1][n] == len(pins)
             assert p.counts[0][n] == sum(1 for c in pins if p.side[c] == 0)

@@ -120,7 +120,7 @@ def reference_source_block(buckets, p):
         return None if m2 < 0 else B2
     if m2 < 0:
         return B1
-    s1, s2 = p.block_size
+    s1, s2 = p.side.count(B1), p.side.count(B2)
     return B1 if (s1, m1) >= (s2, m2) else B2
 
 

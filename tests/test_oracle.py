@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import C1, C4, C5, balanced_partition
-from fmpart.hypergraph import Partition, apply_move, build, cut_count
+from fmpart.hypergraph import B1, B2, Partition, apply_move, build, cut_count
 from fmpart.oracle import (
     MAX_ORACLE_CELLS,
     OracleResult,
@@ -95,12 +95,12 @@ class TestExactMinCut:
         res = exact_min_cut_balanced(h_star, "off_by_one")
         assert res.optimum_cut == 1
         assert res.witness.cut_count == 1
-        assert abs(res.witness.block_size[0] - res.witness.block_size[1]) <= 1
+        assert abs(res.witness.side.count(B1) - res.witness.side.count(B2)) <= 1
 
     def test_disjoint_pairs_reach_zero(self, h4):
         res = exact_min_cut_balanced(h4, "off_by_one")
         assert res.optimum_cut == 0
-        assert res.witness.block_size == [2, 2]
+        assert [res.witness.side.count(B1), res.witness.side.count(B2)] == [2, 2]
 
     def test_single_isolated_cell(self):
         h = build([], 1)
@@ -166,10 +166,10 @@ class TestExactMinCut:
         cycle = build([[i, (i + 1) % n] for i in range(n)], n)
         res = exact_min_cut_balanced(pairs, "off_by_one")
         assert res.optimum_cut == res.witness.cut_count == 0
-        assert res.witness.block_size == [n // 2, n // 2]
+        assert [res.witness.side.count(B1), res.witness.side.count(B2)] == [n // 2, n // 2]
         res = exact_min_cut_balanced(cycle, "off_by_one")
         assert res.optimum_cut == res.witness.cut_count == 2
-        assert res.witness.block_size == [n // 2, n // 2]
+        assert [res.witness.side.count(B1), res.witness.side.count(B2)] == [n // 2, n // 2]
 
     def test_float32_only_while_counts_are_exact(self):
         assert _count_dtype(0) is np.float32

@@ -376,11 +376,16 @@ class TestVariantPass:
         with pytest.raises(ValueError):
             variant_pass(pad_dummy(h4), p, FmConfig(seed=1), random.Random(1))
 
+    def test_odd_cell_count_rejected_without_padding(self, h_star):
+        p = Partition.from_sides(h_star, [0, 0, 1, 1, 1])
+        with pytest.raises(ValueError, match="equal block sizes"):
+            variant_pass(h_star, p, FmConfig(seed=1), random.Random(1))
+
     def test_blocks_stay_equal_every_step(self):
         rng = random.Random(35)
 
         def on_step(buckets, q, moved):
-            assert q.block_size[B1] == q.block_size[B2]
+            assert q.side.count(B1) == q.side.count(B2)
             assert len(moved) % 2 == 0
 
         for _ in range(50):

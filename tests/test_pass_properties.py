@@ -71,7 +71,7 @@ def best_swap_gain(h, p, unlocked, moved_cell):
 def checked_pass(run_pass, cells_per_step, best_gain, h, p, seed, policy):
     """Run one pass with the per-step checks; then check its kept prefix."""
     start = p.clone()
-    sizes = [start.block_size[B1] - start.block_size[B2]]
+    sizes = [start.side.count(B1) - start.side.count(B2)]
     cuts = [start.cut_count]
     before = start.clone()
 
@@ -84,7 +84,7 @@ def checked_pass(run_pass, cells_per_step, best_gain, h, p, seed, policy):
         unlocked = set(range(h.cell_count)).difference(moved[:-cells_per_step])
         assert cuts[-1] - q.cut_count == best_gain(h, before, unlocked, moved[-1])
         before = q.clone()
-        sizes.append(q.block_size[B1] - q.block_size[B2])
+        sizes.append(q.side.count(B1) - q.side.count(B2))
         cuts.append(q.cut_count)
 
     trace = run_pass(h, p, FmConfig(seed=1, tie_policy=policy), random.Random(seed), check)
