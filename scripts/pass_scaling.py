@@ -7,7 +7,7 @@
 For 10k, 40k and 160k cells, the script builds `synth.random_hypergraph`
 with as many nets as cells (2-6 pins each) and a random balanced start,
 then times one `fm_pass` from that start under each tie policy with
-`time.process_time`, --pairs times (default 5). It prints the best
+`time.process_time`, ten times (PAIRS). It prints the best
 microseconds per pin of this checkout and, given --parent, of that
 checkout too, on the same instances. With --parent the two checkouts'
 passes run in alternating pairs, swapping which goes first in each pair
@@ -31,6 +31,8 @@ import time
 from ab_time import ROOT, TIE_POLICIES, load_fmpart
 
 SIZES = (10_000, 40_000, 160_000)
+# Ten pairs is the fewest that can show a change winning 9 of 10.
+PAIRS = 10
 
 
 def instance(fmpart, cells: int):
@@ -52,10 +54,7 @@ def us_per_pin(fmpart, h, start, policy: str) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", help="checkout to compare against, e.g. a clone of the parent commit")
-    ap.add_argument("--pairs", type=int, default=5, help="timed passes (pairs, given --parent) per policy (default 5)")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be positive")
     sides = {"change": load_fmpart(ROOT, "fm", "synth")}
     if args.parent:
         sides["parent"] = load_fmpart(args.parent, "fm", "synth")
@@ -63,11 +62,11 @@ def main(argv=None) -> int:
         instances = {side: instance(fmpart, cells) for side, fmpart in sides.items()}
         for policy in TIE_POLICIES:
             times = {side: [] for side in sides}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in sides if i % 2 == 0 else reversed(sides):
                     times[side].append(us_per_pin(sides[side], *instances[side], policy))
             line = f"{policy:6} {cells:>7} cells: " + ", ".join(f"{s} {min(t):.2f}" for s, t in times.items())
-            line += f" us/pin (best of {args.pairs})"
+            line += f" us/pin (best of {PAIRS})"
             if args.parent:
                 ratios = [c / p for c, p in zip(times["change"], times["parent"])]
                 line += (f", median ratio {statistics.median(ratios):.3f}, "

@@ -174,8 +174,7 @@ def variant_pass(
     steps are `gains.pass_steps`: each draws the top pair and moves it,
     calling `heap_scan` only when the pair's correction term is nonzero.
     """
-    n = h.cell_count
-    if n % 2 or 2 * p.side.count(B1) != n:
+    if 2 * p.side.count(B1) != h.cell_count:
         raise ValueError("pairwise pass needs equal block sizes")
     buckets = init(h, p, cfg.tie_policy)
     initial_cut = p.cut_count
