@@ -18,7 +18,11 @@ ibm01-sized `fm_large` netlist, which no benchmark workload runs. It
 prints the ratio of each pair (this checkout over --parent), then their
 median, the ratio of the two sides' minimum times, how many pairs this
 checkout won (ratio below 1) and the ratios' quartiles, and exits 1 if the
-two checkouts ever give different rows (`elapsed_ms` aside).
+two checkouts ever give different rows (`elapsed_ms` aside). Next to the
+pairs won it prints each side's median process time and the spread of the
+parent's times (upper minus lower quartile) as a share of their median: a
+gain shows when the change wins 9 of 10 pairs and its median falls below
+the parent's by more than that spread. Ten pairs (PAIRS) is the default.
 
 On a shared host load from elsewhere only adds time, so the minimum ratio
 can be the steadier figure: over three rotations of 10-16 `fm_large` pairs
@@ -49,6 +53,9 @@ from fmpart.cli import RUNNERS  # noqa: E402
 from fmpart.fm import FmConfig  # noqa: E402
 from fmpart.gains import TIE_POLICIES  # noqa: E402
 
+# Ten pairs is the fewest that can show a change winning 9 of 10.
+PAIRS = 10
+
 
 def is_fmpart(name: str) -> bool:
     return name == "fmpart" or name.startswith("fmpart.")
@@ -77,6 +84,11 @@ def load_fmpart(root: str, *names: str):
     return package
 
 
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, median and upper quartile of xs."""
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive")) if len(xs) > 1 else (xs[0],) * 3
+
+
 def row_keys(rows) -> list[tuple]:
     return [(r.label, r.algorithm, r.seed, r.initial_cut, r.optimal_cut, r.passes, r.final_side) for r in rows]
 
@@ -86,7 +98,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="checkout to compare against, e.g. a clone of the parent commit")
     ap.add_argument("--workload", required=True, choices=sorted(worker.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    ap.add_argument("--pairs", type=int, default=8, help="timed pairs (default 8)")
+    ap.add_argument("--pairs", type=int, default=PAIRS, help=f"timed pairs (default {PAIRS})")
     ap.add_argument("--tie-policy", choices=TIE_POLICIES, default=FmConfig.tie_policy,
                     help=f"tie policy of every run (default {FmConfig.tie_policy})")
     ap.add_argument("--algorithm", choices=sorted(RUNNERS), default=None,
@@ -114,7 +126,7 @@ def main(argv=None) -> int:
         return time.process_time() - start, row_keys(rows)
 
     ratios = []
-    least = {"parent": float("inf"), "change": float("inf")}
+    runs = {"parent": [], "change": []}
     same_rows = True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -122,20 +134,22 @@ def main(argv=None) -> int:
         rows = {}
         for side in order:
             times[side], rows[side] = run_loop(side)
+            runs[side].append(times[side])
         same_rows = same_rows and rows["parent"] == rows["change"]
-        least = {side: min(least[side], times[side]) for side in least}
         ratios.append(times["change"] / times["parent"])
         print(
             f"pair {i + 1}/{args.pairs}: parent {times['parent']:.3f} s, change {times['change']:.3f} s, "
             f"ratio {ratios[-1]:.3f}",
             flush=True,
         )
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    q1, median, q3 = quartiles(ratios)
     wins = sum(r < 1 for r in ratios)
-    print(f"{args.workload} {'/'.join(algorithms)} ({args.tie_policy}): median ratio {statistics.median(ratios):.3f} "
-          f"(minimum ratio {least['change'] / least['parent']:.3f}) over {len(ratios)} pairs, "
-          f"change won {wins}/{len(ratios)}, quartiles {q1:.3f}-{q3:.3f}, "
-          f"rows {'identical' if same_rows else 'DIFFER'}")
+    p1, parent_median, p3 = quartiles(runs["parent"])
+    print(f"{args.workload} {'/'.join(algorithms)} ({args.tie_policy}): median ratio {median:.3f} "
+          f"(minimum ratio {min(runs['change']) / min(runs['parent']):.3f}) over {len(ratios)} pairs, "
+          f"change won {wins}/{len(ratios)} (median parent {parent_median:.3f} s, "
+          f"change {statistics.median(runs['change']):.3f} s; parent spread {(p3 - p1) / parent_median:.1%} "
+          f"of its median), quartiles {q1:.3f}-{q3:.3f}, rows {'identical' if same_rows else 'DIFFER'}")
     return 0 if same_rows else 1
 
 

@@ -28,11 +28,9 @@ import random
 import statistics
 import time
 
-from ab_time import ROOT, TIE_POLICIES, load_fmpart
+from ab_time import PAIRS, ROOT, TIE_POLICIES, load_fmpart
 
 SIZES = (10_000, 40_000, 160_000)
-# Ten pairs is the fewest that can show a change winning 9 of 10.
-PAIRS = 10
 
 
 def instance(fmpart, cells: int):

@@ -48,8 +48,8 @@ class GainBucket:
       would otherwise go quadratic.
 
     Insert, remove and relocate are O(1); a max pointer falls back by
-    linear scan when its slot drains. `select` and `iter_descending` order
-    ties by the policy the bucket was built for.
+    linear scan when its slot drains. `iter_descending` orders ties by the
+    policy the bucket was built for, and `select` is its first cell.
 
     During a pass, `pass_steps` moves lifo and fifo buckets by
     `move_by_operations`, which calls `remove` and `relocate`. It moves
@@ -150,67 +150,50 @@ class GainBucket:
             top[b] = self._top_from(b, old - 1)
 
     def select(self, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
-        """A cell of block's max slot, or None if the block has no unlocked
-        cell: lifo picks the slot's newest cell, fifo its oldest, and random
-        a uniform member of its bag, drawn from rng."""
-        top = self.top[block]
-        if top < 0:
+        """The first cell of block's `iter_descending` order, drawing from
+        rng as its first step would, or None if the block has no unlocked
+        cell."""
+        if self.top[block] < 0:
             return None
-        cells = self.members[block][top]
-        if self.order is not None:
-            return next(self.order(cells))
-        if rng is None:
-            raise ValueError("random tie policy needs an rng")
-        return cells[rng.randrange(len(cells))]
+        return next(self.iter_descending(block, rng))[0]
 
     def iter_descending(
         self, block: int, rng: Optional[random.Random] = None, after: int = _NONE
     ) -> Iterator[tuple[int, int]]:
         """All (cell, gain) pairs of block, highest gain slot first, produced
-        on demand.
+        on demand; its first cell is `select`'s pick.
 
-        Within a slot the order follows the tie policy, so the first cell is
-        the one `select` would pick: lifo reads the slot newest first, fifo
-        oldest first, and random starts at a uniform position in the slot's
-        bag, drawn from rng on entering the slot, and wraps around. Empty
-        slots are skipped, so k cells cost O(k + gain span).
+        Within a slot the order follows the tie policy: lifo reads the slot
+        newest first, fifo oldest first, and random starts at a uniform
+        position in the slot's bag, drawn from rng on entering the slot, and
+        wraps around. Empty slots are skipped, so k cells cost O(k + gain
+        span).
 
         Given after, the first cell such an order produced in its slot (the
         cell `select` drew, for the top slot), the walk resumes just past
         it and draws nothing until it enters a lower slot.
         """
-        top = self.top[block] if after == _NONE else self.slot[after]
-        members = self.members[block]
         order = self.order
-        if order is not None:
-            for slot in range(top, -1, -1):
-                g = slot - self.span
-                cells = order(members[slot])
-                if after != _NONE:
-                    next(cells)  # after, the slot's first cell
-                    after = _NONE
-                for c in cells:
-                    yield c, g
-            return
-        if rng is None:
+        if order is None and rng is None:
             raise ValueError("random tie policy needs an rng")
-        if after != _NONE:
-            bag = members[top]
-            n = len(bag)
-            # the slot's order runs from after's position around to the one before it
-            first = self.pos[after]
-            for i in range(first + 1, first + n):
-                yield bag[i - n if i >= n else i], top - self.span
-            top -= 1
-        for slot in range(top, -1, -1):
-            bag = members[slot]
-            n = len(bag)
+        span = self.span
+        members = self.members[block]
+        for slot in range(self.top[block] if after == _NONE else self.slot[after], -1, -1):
+            cells = members[slot]
+            n = len(cells)
             if not n:
                 continue
-            g = slot - self.span
-            k = rng.randrange(n)
-            for i in range(k, k + n):
-                yield bag[i - n if i >= n else i], g
+            g = slot - span
+            if order is not None:
+                for c in order(cells):
+                    if c != after:
+                        yield c, g
+            else:
+                # from a drawn position, or just past after, around the bag
+                first, count = (rng.randrange(n), n) if after == _NONE else (self.pos[after] + 1, n - 1)
+                for i in range(first, first + count):
+                    yield cells[i % n], g
+            after = _NONE
 
     def audit(self) -> None:
         """Full-scan structural check; raises AssertionError on a broken invariant."""
@@ -599,10 +582,8 @@ def pass_steps(
     return moved, best_t, best_cut, evals
 
 
-def select_max(buckets: GainBucket, block: int, rng: Optional[random.Random] = None) -> Optional[int]:
-    """A cell at the block's max gain index, or None if the block has no
-    unlocked cell, picked by `GainBucket.select`."""
-    return buckets.select(block, rng)
+# the name fm imports the pick by, where a tracer can wrap it
+select_max = GainBucket.select
 
 
 def audit(buckets: GainBucket, h: Hypergraph, p: Partition) -> None:

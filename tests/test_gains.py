@@ -339,6 +339,9 @@ class TestGainBucket:
             bucket.fill(range(n), [rng.randint(-3, 3) for _ in range(n)])
             seed = rng.random()
             whole = list(bucket.iter_descending(B1, random.Random(seed)))
+            pick_rng, step_rng = random.Random(seed), random.Random(seed)
+            next(bucket.iter_descending(B1, step_rng))
+            assert (bucket.select(B1, pick_rng), pick_rng.getstate()) == (whole[0][0], step_rng.getstate())
             for k in range(1, n + 1):
                 if k > 1 and whole[k - 2][1] == whole[k - 1][1]:
                     continue
