@@ -33,7 +33,7 @@ import os
 import sys
 import tempfile
 
-from ab_time import ROOT, TIE_POLICIES, load_fmpart, row_keys
+from ab_time import ROOT, RUNNERS, TIE_POLICIES, FmConfig, load_fmpart, row_keys
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
@@ -88,10 +88,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", required=True, choices=sorted(worker.WORKLOADS))
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    ap.add_argument("--algorithm", choices=("fm", "fm_variant"), default=None,
+    ap.add_argument("--algorithm", choices=sorted(RUNNERS), default=None,
                     help="run this algorithm instead of the workload's own")
-    ap.add_argument("--tie-policy", choices=TIE_POLICIES, default="random",
-                    help="tie policy of every run (default random)")
+    ap.add_argument("--tie-policy", choices=TIE_POLICIES, default=FmConfig.tie_policy,
+                    help=f"tie policy of every run (default {FmConfig.tie_policy})")
     ap.add_argument("--runs", type=int, default=None, help="count only the first N (file, seed) runs")
     ap.add_argument("--parent", help="checkout to compare against, e.g. a clone of the parent commit")
     args = ap.parse_args(argv)

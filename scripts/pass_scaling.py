@@ -13,11 +13,15 @@ checkout too, on the same instances. With --parent the two checkouts'
 passes run in alternating pairs, swapping which goes first in each pair
 as `scripts/ab_time.py` does, and the script also prints the median of
 the pairs' ratios (this checkout over --parent) and how many pairs this
-checkout won (ratio below 1): a single reading of each side, one after
-the other, once put `random` at 10k cells 34% apart while its opcodes per
-move differed by 3%. A figure that rises with size marks a superlinear
-path; no benchmark workload runs lifo or fifo, so this is where their
-passes are timed at scale.
+checkout won (ratio below 1), each side's median microseconds per pin
+and the spread of the parent's readings (upper minus lower quartile) as a
+share of their median, as `scripts/ab_time.py` does: a flattening shows
+when this checkout wins 9 of 10 pairs and its median falls below the
+parent's by more than that spread. A single reading of each side, one
+after the other, once put `random` at 10k cells 34% apart while its
+opcodes per move differed by 3%. A figure that rises with size marks a
+superlinear path; no benchmark workload runs lifo or fifo, so this is
+where their passes are timed at scale.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import random
 import statistics
 import time
 
-from ab_time import PAIRS, ROOT, TIE_POLICIES, load_fmpart
+from ab_time import PAIRS, ROOT, TIE_POLICIES, load_fmpart, quartiles
 
 SIZES = (10_000, 40_000, 160_000)
 
@@ -67,8 +71,12 @@ def main(argv=None) -> int:
             line += f" us/pin (best of {PAIRS})"
             if args.parent:
                 ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+                p1, parent_median, p3 = quartiles(times["parent"])
                 line += (f", median ratio {statistics.median(ratios):.3f}, "
-                         f"change won {sum(r < 1 for r in ratios)}/{len(ratios)}")
+                         f"change won {sum(r < 1 for r in ratios)}/{len(ratios)} "
+                         f"(median parent {parent_median:.2f}, "
+                         f"change {statistics.median(times['change']):.2f} us/pin; "
+                         f"parent spread {(p3 - p1) / parent_median:.1%} of its median)")
             print(line, flush=True)
         del instances
     return 0

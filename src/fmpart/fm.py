@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .gains import TIE_POLICIES, StepHook, init, pass_steps
+from .gains import TIE_POLICIES, PassTrace, StepHook, init, pass_steps
 
 # unused here, but perfbench/tracing.py wraps these names in this module
 from .gains import move_and_update, select_max  # noqa: F401
@@ -34,19 +34,6 @@ class FmConfig:
             raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
         if self.max_passes is not None and self.max_passes < 1:
             raise ValueError("max_passes must be positive when bounded")
-
-
-@dataclass
-class PassTrace:
-    """One pass: the cut it started from and the one it settled on, the cells
-    it moved in order (a swap step logs u, then v), and how many of them it
-    kept."""
-
-    initial_cut: int
-    best_cut: int
-    steps: list[int]
-    best_prefix: int
-    pair_gain_evals: int = 0
 
 
 @dataclass
@@ -99,19 +86,10 @@ def rollback_to_prefix(h: Hypergraph, p: Partition, moved: list[int], keep: int)
         apply_move(p, h, c)
 
 
-def close_pass(
-    h: Hypergraph,
-    p: Partition,
-    initial_cut: int,
-    moved: list[int],
-    best_t: int,
-    best_cut: int,
-    pair_gain_evals: int = 0,
-) -> PassTrace:
-    """Roll p back to the first best_t moves of the pass, where its cut was
-    best_cut, and record the pass."""
-    rollback_to_prefix(h, p, moved, best_t)
-    return PassTrace(initial_cut, best_cut, moved, best_t, pair_gain_evals)
+def close_pass(h: Hypergraph, p: Partition, trace: PassTrace) -> PassTrace:
+    """Roll p back from the end of trace's pass to its kept prefix; return trace."""
+    rollback_to_prefix(h, p, trace.steps, trace.best_prefix)
+    return trace
 
 
 def run_passes(
@@ -147,22 +125,9 @@ def fm_pass(
     rng: random.Random,
     on_step: Optional[StepHook] = None,
 ) -> PassTrace:
-    """Move every cell once under locking, then roll back to the best prefix.
-
-    The best prefix is the earliest one of minimum cut among those with
-    |S(B1) - S(B2)| <= 1; from an unbalanced start the first balanced prefix
-    beats the start whatever its cut, and with none the pass keeps nothing.
-    On return p sits at that prefix's configuration. The steps are
-    `gains.pass_steps`.
-    """
-    buckets = init(h, p, cfg.tie_policy)
-    initial_cut = p.cut_count
-    balanced_start = -1 <= 2 * p.side.count(B1) - h.cell_count <= 1
-    # an unbalanced start scores above every reachable cut, so the first
-    # balanced prefix beats it
-    best_t, best_cut = 0, (initial_cut if balanced_start else h.net_count + 1)
-    moved, best_t, best_cut, _ = pass_steps(buckets, h, p, rng, best_cut, on_step)
-    return close_pass(h, p, initial_cut, moved, best_t, best_cut if best_t else initial_cut)
+    """Move every cell once under locking, then roll p back to the best
+    prefix (see `gains.pass_steps` for the steps and the prefix rule)."""
+    return close_pass(h, p, pass_steps(init(h, p, cfg.tie_policy), h, p, rng, on_step))
 
 
 def fm_run(

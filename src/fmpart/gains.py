@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import B1, B2, Hypergraph, Partition
@@ -221,6 +222,20 @@ class GainBucket:
 # the pass's log of moved cells so far (two cells per swap step).
 StepHook = Callable[[GainBucket, Partition, list[int]], None]
 
+
+@dataclass
+class PassTrace:
+    """One pass: the cut it started from and the one it settled on, the cells
+    it moved in order (a swap step logs u, then v), and how many of them it
+    kept."""
+
+    initial_cut: int
+    best_cut: int
+    steps: list[int]
+    best_prefix: int
+    pair_gain_evals: int
+
+
 # A swap pass's pair search from the top pair (u, v) it is given, as
 # (u, v, gain, pair gains evaluated); see `pairwise.heap_scan`.
 PairScan = Callable[[GainBucket, Hypergraph, Partition, random.Random, int, int], tuple[int, int, int, int]]
@@ -356,14 +371,16 @@ def pass_steps(
     h: Hypergraph,
     p: Partition,
     rng: random.Random,
-    best_cut: int,
     on_step: Optional[StepHook] = None,
     heap_scan: Optional[PairScan] = None,
-) -> tuple[list[int], int, int, int]:
-    """Run a pass's steps until every cell is locked; return the moved
-    cells, the length of the earliest balanced prefix with a cut below
-    best_cut (0 if none), its cut and the pair gains evaluated. This is
-    the one step loop of FM and swap passes under every tie policy.
+) -> PassTrace:
+    """Run a pass's steps until every cell is locked; return its record,
+    with p left after the last step. The kept prefix is the earliest one of
+    minimum cut among those with |S(B1) - S(B2)| <= 1, the empty one among
+    them when the start is balanced; from an unbalanced start the first
+    balanced prefix beats the start whatever its cut, and with none the
+    pass keeps nothing and records the start's cut as its best. This is the
+    one step loop of FM and swap passes under every tie policy.
 
     A step is one FM move or, given heap_scan, a swap of u and v. An FM
     step moves a cell of the block to move from: the larger one; on equal
@@ -401,7 +418,7 @@ def pass_steps(
     pos = buckets.pos
     members = buckets.members
     tops = buckets.top
-    cut = p.cut_count
+    start = cut = p.cut_count
     side = p.side
     d = 2 * side.count(B1) - len(side)
     counts = p.counts
@@ -409,6 +426,9 @@ def pass_steps(
     cell_nets = h.cell_nets
     pins_of = h.nets
     getrandbits = rng.getrandbits
+    # an unbalanced start scores above every reachable cut, so the first
+    # balanced prefix beats it
+    best_cut = cut if -1 <= d <= 1 else len(pins_of) + 1
     moved: list[int] = []
     best_t = 0
     evals = 0
@@ -579,7 +599,7 @@ def pass_steps(
             p.cut_count = cut
             on_step(buckets, p, moved)
     p.cut_count = cut
-    return moved, best_t, best_cut, evals
+    return PassTrace(start, best_cut if best_t else start, moved, best_t, evals)
 
 
 # the name fm imports the pick by, where a tracer can wrap it

@@ -176,10 +176,7 @@ def variant_pass(
     """
     if 2 * p.side.count(B1) != h.cell_count:
         raise ValueError("pairwise pass needs equal block sizes")
-    buckets = init(h, p, cfg.tie_policy)
-    initial_cut = p.cut_count
-    moved, best_t, best_cut, evals = pass_steps(buckets, h, p, rng, initial_cut, on_step, heap_scan)
-    return close_pass(h, p, initial_cut, moved, best_t, best_cut, evals)
+    return close_pass(h, p, pass_steps(init(h, p, cfg.tie_policy), h, p, rng, on_step, heap_scan))
 
 
 def variant_run(

@@ -88,6 +88,7 @@ def checked_pass(run_pass, cells_per_step, best_gain, h, p, seed, policy):
         cuts.append(q.cut_count)
 
     trace = run_pass(h, p, FmConfig(seed=1, tie_policy=policy), random.Random(seed), check)
+    assert trace.initial_cut == start.cut_count
     assert sorted(trace.steps) == list(range(h.cell_count))
     assert len(cuts) == 1 + h.cell_count // cells_per_step
 
