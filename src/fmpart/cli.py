@@ -31,6 +31,7 @@ RUNNERS = {"fm": fm_run, "fm_variant": variant_run}
 ALGO_CHOICES = {"fm": ["fm"], "variant": ["fm_variant"], "fm_variant": ["fm_variant"], "both": list(RUNNERS)}
 JOBS_ENV_VAR = "PARTITION_JOBS"
 DEFAULT_SEED_COUNT = 10
+MAX_SEEDS = 10_000  # in either form of --seeds; each is one run per file and algorithm
 
 
 def gain_mu(fm_cut: int, variant_cut: int) -> float:
@@ -213,18 +214,22 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def parse_seed_spec(text: str) -> list[int]:
-    """Either "1,5,9" (explicit list, each seed once) or "10" (meaning seeds 1..10)."""
+    """Either "1,5,9" (explicit list, each seed once) or "10" (seeds 1..10)."""
     if "," in text:
         seeds = [_parse_int(t, "seed") for t in text.split(",") if t.strip()]
         if not seeds:
             raise argparse.ArgumentTypeError(f"no seed in the list {text!r}")
-        for i, seed in enumerate(seeds):
-            if seed in seeds[:i]:
+        if len(seeds) > MAX_SEEDS:
+            raise argparse.ArgumentTypeError(f"a seed list holds at most {MAX_SEEDS} seeds, got {len(seeds)}")
+        seen = set()
+        for seed in seeds:
+            if seed in seen:
                 raise argparse.ArgumentTypeError(f"seed {seed} is listed more than once")
+            seen.add(seed)
         return seeds
     count = _parse_int(text, "seed count")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"seed count must be at least 1, got {count}")
+    if not 1 <= count <= MAX_SEEDS:
+        raise argparse.ArgumentTypeError(f"seed count must be at least 1 and at most {MAX_SEEDS}, got {count}")
     return list(range(1, count + 1))
 
 
@@ -307,6 +312,21 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _write_output(fh, write) -> bool:
+    """write(fh) and flush fh; False, after one error line, if that fails."""
+    try:
+        write(fh)
+        fh.flush()
+        return True
+    except OSError as exc:
+        print(f"error: {fh.name}: {exc.strerror}", file=sys.stderr)
+        # the unwritten buffer would fail again at close, or at exit for stdout
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fh.fileno())
+        os.close(null)
+        return False
+
+
 def _cmd_run(args, jobs: int) -> int:
     if args.csv and args.summary and _same_file(args.csv, args.summary):
         # both handles would truncate the one file, and the rows would overwrite the summary
@@ -327,14 +347,14 @@ def _cmd_run(args, jobs: int) -> int:
         cfg = FmConfig(seed=1, tie_policy=args.tie, max_passes=args.max_passes)
         failures: list[TaskFailure] = []
         rows, summary = run_experiment(entries, algorithms, args.seeds, cfg, jobs=jobs, failures=failures)
-        write_rows_csv(rows, csv_fh or sys.stdout)
-        if summary_fh:
-            write_summary_csv(summary, args.seeds, summary_fh)
+        written = _write_output(csv_fh or sys.stdout, lambda fh: write_rows_csv(rows, fh))
+        if summary_fh and not _write_output(summary_fh, lambda fh: write_summary_csv(summary, args.seeds, fh)):
+            written = False
     _report_failures(failures)
     if not entries:
         print("error: nothing to do, no readable inputs", file=sys.stderr)
         return 1
-    return 1 if failed or failures else 0
+    return 1 if failed or failures or not written else 0
 
 
 def _cmd_verify(args) -> int:
@@ -376,6 +396,11 @@ def _cmd_stats(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # a file named twice would run twice and be listed twice in the summary
+    for i, path in enumerate(args.input if args.command != "stats" else ()):
+        for other in args.input[:i]:
+            if _same_file(other, path):
+                ap.error(f"argument --input: {path} and {other} name the same file")
     if args.command == "run":
         jobs = args.jobs
         if jobs is None:

@@ -5,18 +5,17 @@ keeps an array of cell slots indexed by gain plus a pointer to the highest
 occupied index. A pass's whole state is one `GainBucket` holding both
 blocks: a cell's slot is the only record of its gain, the live side list
 says which block files it, and a cell is locked exactly when no slot holds
-it. `init` fills it, and `pass_steps` runs a pass's steps under every tie
-policy, a swap step's top-pair search among them. Over lifo and fifo it
-moves cells with `move_by_operations`, one `GainBucket` operation per call;
-over bags (the default `random` tie policy) it runs the same operations
-written inline.
+it. `init` fills it, and `pass_steps` runs a pass's FM or swap steps
+under every tie policy, a swap step's pair search being `heap_scan`.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import B1, B2, Hypergraph, Partition
@@ -52,11 +51,8 @@ class GainBucket:
     linear scan when its slot drains. `iter_descending` orders ties by the
     policy the bucket was built for, and `select` is its first cell.
 
-    During a pass, `pass_steps` moves lifo and fifo buckets by
-    `move_by_operations`, which calls `remove` and `relocate`. It moves
-    bags itself, doing the removal and every relocation inline, in the
-    order those calls would, and updates ``top`` in place, so the methods
-    here see an exact bucket whenever they are called.
+    `pass_steps` moves bags with the removal and relocations written
+    inline, so the methods here see an exact bucket whenever called.
     """
 
     __slots__ = ("side", "span", "order", "slot", "pos", "members", "top")
@@ -236,11 +232,6 @@ class PassTrace:
     pair_gain_evals: int
 
 
-# A swap pass's pair search from the top pair (u, v) it is given, as
-# (u, v, gain, pair gains evaluated); see `pairwise.heap_scan`.
-PairScan = Callable[[GainBucket, Hypergraph, Partition, random.Random, int, int], tuple[int, int, int, int]]
-
-
 def compute_gain(h: Hypergraph, p: Partition, c: int) -> int:
     """Exact cut reduction if cell c alone moved to the other block.
 
@@ -295,8 +286,7 @@ def init(h: Hypergraph, p: Partition, tie_policy: str) -> GainBucket:
 def move_by_operations(buckets: GainBucket, h: Hypergraph, p: Partition, c: int) -> int:
     """Lock c, move it, adjust unlocked neighbor gains in place, and return
     c's gain: one `GainBucket.remove` for c, then one `GainBucket.relocate`
-    per neighbor update, in the order of the rule below. `pass_steps` calls
-    it over lifo and fifo and inlines it for bags.
+    per neighbor update, in the order of the rule below.
 
     For each net of c, with F the departing block and T the receiving one:
     before the pin transfer, a T-count of 0 raises every unlocked pin and a
@@ -366,13 +356,103 @@ def move_by_operations(buckets: GainBucket, h: Hypergraph, p: Partition, c: int)
 move_and_update = move_by_operations
 
 
+def correct_term(h: Hypergraph, p: Partition, u: int, v: int) -> int:
+    """Overcount carried by shared cut nets that stay cut after swapping u and v.
+
+    A net containing both endpoints keeps its block occupancy under the
+    swap, so it remains cut. It was credited by each endpoint whose side
+    holds it as the lone pin: twice for a two-pin net, once otherwise.
+    """
+    su = p.side[u]
+    sv = p.side[v]
+    if su == sv:
+        raise ValueError("pair endpoints must lie in opposite blocks")
+    nets_small = h.cell_nets[u]
+    nets_other = h.cell_nets[v]
+    if len(nets_small) > len(nets_other):
+        nets_small, nets_other = nets_other, nets_small
+    count_u = p.counts[su]
+    count_v = p.counts[sv]
+    pins_of = h.nets
+    total = 0
+    for n in nets_small:
+        if n in nets_other:
+            if count_u[n] == 1 or count_v[n] == 1:
+                total += 2 if len(pins_of[n]) == 2 else 1
+    return total
+
+
+def heap_scan(
+    buckets: GainBucket,
+    h: Hypergraph,
+    p: Partition,
+    rng: random.Random,
+    u: int,
+    v: int,
+) -> tuple[int, int, int, int]:
+    """The best pair search from B1's and B2's top cells u and v, as drawn
+    by `GainBucket.select`; returns (u, v, gain, pair gains evaluated).
+
+    The search is Kernighan & Lin's sorted-list scan over each block's cells
+    in nonincreasing gain order, ties in the order of the bucket's tie
+    policy (`GainBucket.iter_descending`). Pairs come off a max-heap keyed
+    by the bound gains[u] + gains[v], which the exact gain (the bound less
+    `correct_term`) never exceeds. Each pair (i, j) of the two orders enters
+    the heap once, from (i, j - 1), or from (i - 1, 0) when j is 0, so
+    bounds come off in nonincreasing order. The scan stops once the next
+    bound is no higher than the best exact gain seen, and returns the first
+    exact maximizer. The first pair is always the two top cells, so each
+    order resumes past its top cell, and a zero correction term for it ends
+    the scan at once.
+
+    A swap step's draws, the same whoever makes the step: u is drawn from
+    B1's max slot, then v from B2's, as `GainBucket.select` draws. Past
+    them only the random policy draws from rng: one draw on entering each
+    slot of each order below the top one, in the order the scan enters
+    them. The first are the look-aheads into B2's second cell and then into
+    B1's, each of which enters a lower slot when its top bag holds one cell;
+    both are made even when the scan ends at the top pair.
+    """
+    span = buckets.span
+    gu = buckets.slot[u] - span
+    gv = buckets.slot[v] - span
+    best = (u, v, gu + gv - correct_term(h, p, u, v))
+    evals = 1
+    order_u = buckets.iter_descending(B1, rng, u)
+    order_v = buckets.iter_descending(B2, rng, v)
+    us = [(u, gu)]
+    vs = [(v, gv)]
+    heap: list[tuple[int, int, int]] = []
+    i = j = 0
+    while True:
+        # (i, j) is the pair just evaluated; its successors enter the heap
+        if j + 1 == len(vs):
+            vs.extend(islice(order_v, 1))
+        if j + 1 < len(vs):
+            heapq.heappush(heap, (-(gu + vs[j + 1][1]), i, j + 1))
+        if j == 0:
+            if i + 1 == len(us):
+                us.extend(islice(order_u, 1))
+            if i + 1 < len(us):
+                heapq.heappush(heap, (-(us[i + 1][1] + gv), i + 1, 0))
+        if not heap or -heap[0][0] <= best[2]:
+            return (*best, evals)
+        negb, i, j = heapq.heappop(heap)
+        u, gu = us[i]
+        v, gv = vs[j]
+        g = -negb - correct_term(h, p, u, v)
+        evals += 1
+        if g > best[2]:
+            best = (u, v, g)
+
+
 def pass_steps(
     buckets: GainBucket,
     h: Hypergraph,
     p: Partition,
     rng: random.Random,
     on_step: Optional[StepHook] = None,
-    heap_scan: Optional[PairScan] = None,
+    swap: bool = False,
 ) -> PassTrace:
     """Run a pass's steps until every cell is locked; return its record,
     with p left after the last step. The kept prefix is the earliest one of
@@ -382,7 +462,7 @@ def pass_steps(
     pass keeps nothing and records the start's cut as its best. This is the
     one step loop of FM and swap passes under every tie policy.
 
-    A step is one FM move or, given heap_scan, a swap of u and v. An FM
+    A step is one FM move or, given swap, a swap of u and v. An FM
     step moves a cell of the block to move from: the larger one; on equal
     sizes the one with the higher max gain, B1 on a tie. A block with no
     unlocked cell yields to the other. Both blocks share one gain span, so
@@ -391,13 +471,11 @@ def pass_steps(
     the slot's newest or oldest, over bags (random) the draw
     `rng.randrange(n)` as `Random` computes it.
 
-    A swap step draws u from B1's max slot, then v from B2's, the same way.
-    The pair is final when no net of both has a lone pin on either side,
-    as no other pair's bound gain is higher; then, over bags, the step
-    makes the draws the heap scan's first look-aheads would make: into B2's
-    next slot, then B1's, each when its top bag holds only the drawn cell.
-    Otherwise heap_scan(buckets, h, p, rng, u, v) searches on from the pair
-    and returns the best (u, v, gain, pair gains evaluated).
+    A swap step moves the pair `heap_scan` returns from the top pair u, v,
+    drawing as its docstring states. The loop runs the scan's first
+    iteration inline: a pair with no net of both holding a lone pin on
+    either side has a zero correction term and is final, and the loop makes
+    its two look-ahead draws itself; any other pair goes to heap_scan.
 
     The loop reads and writes the bucket's ``top`` list in place. It keeps
     the cut and the imbalance d = |B1| - |B2| in locals: d is counted off
@@ -434,7 +512,7 @@ def pass_steps(
     evals = 0
     v = _NONE
     while True:
-        if heap_scan is None:
+        if not swap:
             m1, m2 = tops
             if m1 < 0 and m2 < 0:
                 break

@@ -1,15 +1,21 @@
 import csv
+import errno
 import io
 import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fmpart import cli
 from fmpart.cli import (
+    MAX_SEEDS,
     ROW_FIELDS,
     SUMMARY_FIELDS,
     TaskFailure,
@@ -350,6 +356,81 @@ class TestCliMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("form", ["count", "huge count", "list"])
+    def test_seed_limit_exits_two(self, fixture_files, tmp_path, capsys, monkeypatch, command, form):
+        # the count is checked before its range is built, so 10**30 fails
+        # as cleanly as one seed over the limit
+        over = MAX_SEEDS + 1
+        spec, message = {
+            "count": (str(over), f"seed count must be at least 1 and at most {MAX_SEEDS}, got {over}"),
+            "huge count": (str(10**30), f"seed count must be at least 1 and at most {MAX_SEEDS}, got {10**30}"),
+            "list": (",".join(map(str, range(over))), f"a seed list holds at most {MAX_SEEDS} seeds, got {over}"),
+        }[form]
+        star, _ = fixture_files
+        out = tmp_path / "rows.csv"
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ran.append(a))
+        argv = [command, "--input", str(star), "--seeds", spec]
+        if command == "run":
+            argv += ["--csv", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"argument --seeds: {message}" in err
+        assert "Traceback" not in err
+        assert ran == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("alias", ["same", "dotdot", "symlink"])
+    def test_repeated_input_exits_two(self, fixture_files, tmp_path, capsys, monkeypatch, command, alias):
+        # a file named twice would run twice and be listed twice in the summary
+        star, quad = fixture_files
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.hgr").symlink_to(star)
+        other = {"same": star, "dotdot": tmp_path / "sub" / ".." / "star.hgr", "symlink": tmp_path / "link.hgr"}
+        out = tmp_path / "rows.csv"
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ran.append(a))
+        argv = [command, "--input", str(star), str(quad), str(other[alias]), "--seeds", "1"]
+        if command == "run":
+            argv += ["--csv", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"argument --input: {other[alias]} and {star} name the same file" in err
+        assert "Traceback" not in err
+        assert ran == []
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "target, buffered",
+        [("--csv", True), ("--summary", True), ("stdout", True), ("stdout", False)],
+    )
+    def test_write_error_exits_one(self, fixture_files, target, buffered):
+        # a fresh interpreter, so that its flush of stdout on exit is seen too:
+        # one error line, no traceback, no "Exception ignored"
+        star, _ = fixture_files
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "fmpart.cli", "run", "--input", str(star), "--seeds", "2"]
+        if target != "stdout":
+            argv += [target, "/dev/full"]
+        with open("/dev/full" if target == "stdout" else os.devnull, "w") as out:
+            proc = subprocess.run(argv, env=env, stdout=out, stderr=subprocess.PIPE, text=True, timeout=120)
+        name = "<stdout>" if target == "stdout" else "/dev/full"
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {name}: {os.strerror(errno.ENOSPC)}\n"
+
     @pytest.mark.parametrize(
         "flag, message",
         [
@@ -538,3 +619,91 @@ class TestCliMain:
         path.write_text(PLAIN_NET)
         assert main(["stats", "--input", str(path), *extra]) == 0
         assert "cells=3 nets=2 pins=4 max_degree=2" in capsys.readouterr().out
+
+
+ARGV_FUZZ = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+# counts of 1-3 seeds, or above the limit, so that no example runs thousands of tasks
+GOOD_SEEDS = st.one_of(
+    st.integers(1, 3).map(str),
+    st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True).map(lambda s: ",".join(map(str, s)) + ","),
+)
+BAD_SEEDS = st.one_of(
+    st.integers(MAX_SEEDS + 1, 10**30).map(str),
+    st.sampled_from(["0", "-1", ",", "x", "1,x", "2,2", ""]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "star.hgr").write_text(FIVE_CELL_HGR)
+    (d / "quad.hgr").write_text(H4_HGR)
+    (d / "plain.net").write_text(PLAIN_NET)
+    (d / "junk.hgr").write_text("2 x\n1\n")
+    (d / "notes.txt").write_text(H4_HGR)
+    (d / "dir.hgr").mkdir()
+    return d
+
+
+@st.composite
+def argvs(draw, d):
+    """A run, verify or stats command line over small files. Each flag is
+    left out, given a good value, or one time in four a bad one; run always
+    gets --jobs 1, so no example starts a process pool."""
+
+    def pick(good, bad):
+        return draw(bad if draw(st.integers(0, 3)) == 2 else good)
+
+    command = draw(st.sampled_from(["run", "verify", "stats"]))
+    good_files = [str(d / n) for n in ("star.hgr", "quad.hgr", "plain.net")]
+    bad_files = [str(d / n) for n in ("junk.hgr", "notes.txt", "dir.hgr", "gone.hgr")]
+    size = 1 if command == "stats" else 3
+    inputs = pick(
+        st.lists(st.sampled_from(good_files), min_size=1, max_size=size, unique=True),
+        st.lists(st.sampled_from(good_files + bad_files), min_size=1, max_size=size),
+    )
+    argv = [command, "--input", *inputs]
+    flags = {"--format": (st.just("auto"), st.sampled_from(["hgr", "net", "netd", "bogus"]))}
+    if command != "stats":
+        flags["--seeds"] = (GOOD_SEEDS, BAD_SEEDS)
+        flags["--max-passes"] = (st.sampled_from(["1", "2"]), st.sampled_from(["0", "x"]))
+        flags["--tie"] = (st.sampled_from(["random", "fifo", "lifo"]), st.just("coin"))
+    if command == "run":
+        bad_outputs = [str(d / "dir.hgr"), str(d / "no" / "out.csv"), str(d / "rows.csv")]
+        if os.path.exists("/dev/full"):
+            bad_outputs.append("/dev/full")
+        flags["--algo"] = (st.sampled_from(["fm", "variant", "fm_variant", "both"]), st.just("quantum"))
+        flags["--csv"] = (st.just(str(d / "rows.csv")), st.sampled_from(bad_outputs))
+        flags["--summary"] = (st.just(str(d / "summary.csv")), st.sampled_from(bad_outputs))
+        argv += ["--jobs", "1"]
+    for flag, (good, bad) in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, pick(good, bad)]
+    if draw(st.integers(0, 9)) == 3:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--seeds"])))
+    return argv
+
+
+class TestArgvFuzz:
+    def test_exit_code_is_documented(self, fuzz_dir):
+        star = str(fuzz_dir / "star.hgr")
+        cases = [
+            ["run", "--input", star, "--jobs", "1", "--seeds", str(10**30)],
+            ["verify", "--input", star, "--seeds", str(MAX_SEEDS + 1)],
+            ["verify", "--input", star, os.path.join(fuzz_dir, ".", "star.hgr")],
+        ]
+        if os.path.exists("/dev/full"):
+            cases.append(["run", "--input", star, "--jobs", "1", "--csv", "/dev/full"])
+
+        @ARGV_FUZZ
+        @given(argv=argvs(fuzz_dir))
+        def check(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 1, 2), argv
+
+        for argv in cases:
+            check = example(argv=argv)(check)
+        check()
